@@ -15,8 +15,6 @@
 //       [--zipf-theta 0.99] [--cache-budget 67108864]   # per shard
 //       [--shards 0,1,2,8]        # 0 = single-oracle baseline row
 //       [--partition hash,range]
-//       [--replicas 1,2,4]        # replica-group sizes per shard
-//       [--route round-robin,least-loaded,deterministic]
 //       [--threads 1,2]           # pool slots serving the shards
 //       [--snapshot-format none,v1,v2]  # warm direct / from saved snapshot
 //       [--bfs-kernel auto,topdown,hybrid]  # traversal kernels to sweep
@@ -59,12 +57,6 @@ int main(int argc, char** argv) {
       "comma-separated shard counts; 0 = single-oracle baseline");
   const std::string partition_spec =
       flags.str("partition", "hash", "comma-separated partitioners: hash|range");
-  const std::string replica_spec = flags.str(
-      "replicas", "1", "comma-separated replica counts per shard (>= 1)");
-  const std::string route_spec = flags.str(
-      "route", "round-robin",
-      "comma-separated routing policies: round-robin|least-loaded|"
-      "deterministic (the digest gate proves answers are policy-independent)");
   const std::string thread_spec =
       flags.str("threads", "1,2", "comma-separated pool slots per batch");
   const std::string format_spec = flags.str(
@@ -91,12 +83,6 @@ int main(int argc, char** argv) {
         static_cast<unsigned>(util::Flags::parse_integer("shards", item)));
   }
   const auto partition_list = run::split_list(partition_spec);
-  std::vector<unsigned> replica_list;
-  for (const auto& item : run::split_list(replica_spec)) {
-    replica_list.push_back(
-        static_cast<unsigned>(util::Flags::parse_integer("replicas", item)));
-  }
-  const auto route_list = run::split_list(route_spec);
   std::vector<unsigned> thread_list;
   for (const auto& item : run::split_list(thread_spec)) {
     thread_list.push_back(
@@ -104,11 +90,10 @@ int main(int argc, char** argv) {
   }
   const auto format_list = run::split_list(format_spec);
   const auto kernel_list = run::split_list(kernel_spec);
-  if (shard_list.empty() || partition_list.empty() || replica_list.empty() ||
-      route_list.empty() || thread_list.empty() || format_list.empty() ||
-      kernel_list.empty()) {
-    std::cerr << "error: empty --shards, --partition, --replicas, --route, "
-                 "--threads, --snapshot-format, or --bfs-kernel list\n";
+  if (shard_list.empty() || partition_list.empty() || thread_list.empty() ||
+      format_list.empty() || kernel_list.empty()) {
+    std::cerr << "error: empty --shards, --partition, --threads, "
+                 "--snapshot-format, or --bfs-kernel list\n";
     return 2;
   }
 
@@ -121,30 +106,22 @@ int main(int argc, char** argv) {
             << " B/shard)\n\n";
 
   // Shard-major sweep; a 0-shard row is the single-oracle baseline (the
-  // partition/replica/route axes are meaningless there, so they are pinned
-  // to their first values instead of duplicating the row per combination).
+  // partition axis is meaningless there, so it is pinned to its first value
+  // instead of duplicating the row per partitioner).
   std::vector<run::ScenarioSpec> specs;
   for (const auto& kernel : kernel_list) {
     for (const auto& format : format_list) {
       for (const unsigned shards : shard_list) {
         for (const auto& partition : partition_list) {
           if (shards == 0 && partition != partition_list.front()) continue;
-          for (const unsigned replicas : replica_list) {
-            if (shards == 0 && replicas != replica_list.front()) continue;
-            for (const auto& route : route_list) {
-              if (shards == 0 && route != route_list.front()) continue;
-              for (const unsigned threads : thread_list) {
-                auto spec = base;
-                spec.bfs_kernel = kernel;
-                spec.snapshot_format = format;
-                spec.cluster_shards = shards;
-                spec.partition = partition;
-                spec.replicas = replicas;
-                spec.route = route;
-                spec.query_threads = threads;
-                specs.push_back(spec);
-              }
-            }
+          for (const unsigned threads : thread_list) {
+            auto spec = base;
+            spec.bfs_kernel = kernel;
+            spec.snapshot_format = format;
+            spec.cluster_shards = shards;
+            spec.partition = partition;
+            spec.query_threads = threads;
+            specs.push_back(spec);
           }
         }
       }
@@ -154,9 +131,9 @@ int main(int argc, char** argv) {
   // Sequential execution: per-row serving wall-clock must not share cores.
   const auto rows = runner.run(specs);
 
-  util::Table t({"kernel", "format", "shards", "partition", "R", "route",
-                 "slots", "used", "warmup ms", "serve ms", "kqueries/s", "BFS",
-                 "hits", "evict", "sheds", "digest ok"});
+  util::Table t({"kernel", "format", "shards", "partition", "slots", "used",
+                 "warmup ms", "serve ms", "kqueries/s", "BFS", "hits", "evict",
+                 "digest ok"});
   bool all_ok = true, all_identical = true;
   std::vector<double> kqps;
   std::vector<bool> identicals;
@@ -179,8 +156,6 @@ int main(int argc, char** argv) {
     t.add_row({row.spec.bfs_kernel, row.spec.snapshot_format,
                std::to_string(row.spec.cluster_shards),
                cluster_row ? row.spec.partition : "-",
-               cluster_row ? std::to_string(row.spec.replicas) : "-",
-               cluster_row ? row.spec.route : "-",
                std::to_string(row.spec.query_threads),
                std::to_string(row.cluster_shards_used),
                util::Table::num(row.snapshot_warmup_ms, 2),
@@ -188,7 +163,6 @@ int main(int argc, char** argv) {
                std::to_string(row.oracle_bfs_passes),
                std::to_string(row.oracle_cache_hits),
                std::to_string(row.oracle_evictions),
-               std::to_string(row.cluster_sheds),
                identical ? "yes" : "NO"});
   }
   t.print(std::cout);

@@ -80,14 +80,19 @@ int main(int argc, char** argv) {
     util::Flags flags(argc, argv);
     const std::string host =
         flags.str("host", "127.0.0.1", "server IPv4 address");
-    const auto port_flag = flags.integer("port", 0, "server TCP port");
+    const auto port_flag = util::Flags::in_range<std::uint16_t>(
+        "port", flags.integer("port", 0, "server TCP port"));
     const std::string port_file = flags.str(
         "port-file", "", "read the port number from this file (nas_served "
                          "--port-file counterpart)");
-    const auto connections = static_cast<std::size_t>(
-        flags.integer("connections", 4, "concurrent client connections"));
-    const auto batch = static_cast<std::uint64_t>(flags.integer(
-        "batch", 64, "queries per BATCH request (1 uses single Q lines)"));
+    const auto connections = util::Flags::in_range<std::size_t>(
+        "connections",
+        flags.integer("connections", 4, "concurrent client connections"), 1);
+    const auto batch = util::Flags::in_range<std::uint64_t>(
+        "batch",
+        flags.integer("batch", 64,
+                      "queries per BATCH request (1 uses single Q lines)"),
+        1);
     const std::string query_file = flags.str(
         "query-file", "", "replay 'u v' request lines from this file");
     const std::string workload = flags.str(
@@ -113,17 +118,14 @@ int main(int argc, char** argv) {
       return 0;
     }
     flags.reject_unknown();
-    if (connections == 0) {
-      throw std::invalid_argument("flag --connections must be >= 1");
-    }
-    if (batch == 0) throw std::invalid_argument("flag --batch must be >= 1");
 
-    std::uint16_t port = static_cast<std::uint16_t>(port_flag);
+    std::uint16_t port = port_flag;
     if (!port_file.empty()) {
       std::ifstream in(port_file);
       unsigned long read_port = 0;
-      if (!(in >> read_port)) {
-        throw std::runtime_error("cannot read a port from " + port_file);
+      if (!(in >> read_port) || read_port > 65535) {
+        throw std::runtime_error("cannot read a port (0-65535) from " +
+                                 port_file);
       }
       port = static_cast<std::uint16_t>(read_port);
     }

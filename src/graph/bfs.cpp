@@ -55,63 +55,6 @@ BfsResult bfs(const Graph& g, Vertex source) {
   return bfs_impl(g, {source}, kInfDist);
 }
 
-namespace {
-
-// One traversal shared by the adjacency-list and CSR entry points: both
-// expose num_vertices()/neighbors(v) with neighbors ascending, so the
-// visit order — and therefore every distance — is representation-free.
-template <typename AnyGraph>
-void bfs_into_impl(const AnyGraph& g, Vertex source,
-                   std::span<std::uint32_t> dist,
-                   std::vector<Vertex>& frontier) {
-  const Vertex n = g.num_vertices();
-  if (dist.size() != n) {
-    throw std::invalid_argument("bfs_into: dist size must equal num_vertices");
-  }
-  if (source >= n) throw std::invalid_argument("bfs: source out of range");
-  std::fill(dist.begin(), dist.end(), kInfDist);
-  frontier.clear();
-  frontier.reserve(n);
-  frontier.push_back(source);
-  dist[source] = 0;
-  for (std::size_t head = 0; head < frontier.size(); ++head) {
-    const Vertex u = frontier[head];
-    const std::uint32_t du = dist[u];
-    for (Vertex v : g.neighbors(u)) {
-      if (dist[v] == kInfDist) {
-        dist[v] = du + 1;
-        frontier.push_back(v);
-      }
-    }
-  }
-}
-
-}  // namespace
-
-void bfs_into(const Graph& g, Vertex source, std::span<std::uint32_t> dist,
-              std::vector<Vertex>& frontier) {
-  bfs_into_impl(g, source, dist, frontier);
-}
-
-void bfs_into(const Graph& g, Vertex source, std::vector<std::uint32_t>& dist,
-              std::vector<Vertex>& frontier) {
-  dist.resize(g.num_vertices());
-  bfs_into_impl(g, source,
-                std::span<std::uint32_t>(dist.data(), dist.size()), frontier);
-}
-
-void bfs_into(const Csr& g, Vertex source, std::span<std::uint32_t> dist,
-              std::vector<Vertex>& frontier) {
-  bfs_into_impl(g, source, dist, frontier);
-}
-
-void bfs_into(const Csr& g, Vertex source, std::vector<std::uint32_t>& dist,
-              std::vector<Vertex>& frontier) {
-  dist.resize(g.num_vertices());
-  bfs_into_impl(g, source,
-                std::span<std::uint32_t>(dist.data(), dist.size()), frontier);
-}
-
 BfsResult multi_source_bfs(const Graph& g, const std::vector<Vertex>& sources) {
   return bfs_impl(g, sources, kInfDist);
 }

@@ -5,10 +5,8 @@
 // of the CONGEST simulator code path.
 #pragma once
 
-#include <span>
 #include <vector>
 
-#include "graph/csr.hpp"
 #include "graph/graph.hpp"
 
 namespace nas::graph {
@@ -29,28 +27,6 @@ struct BfsResult {
 /// FIFO discipline the original std::queue implementation had, kept
 /// allocation-flat instead of heap-churning per BFS.
 [[nodiscard]] BfsResult bfs(const Graph& g, Vertex source);
-
-/// Allocation-free single-source BFS distances into caller-owned buffers:
-/// fills `dist` (which must have size n) with d(source, ·), kInfDist where
-/// unreachable, using `frontier` as FIFO scratch.  Neither buffer is
-/// reallocated once grown to capacity n, so a caller looping over sources
-/// pays zero allocations per BFS — this is the hot primitive behind the
-/// sharded stretch verifier and the APSP oracle.
-void bfs_into(const Graph& g, Vertex source, std::span<std::uint32_t> dist,
-              std::vector<Vertex>& frontier);
-
-/// Convenience overload that resizes `dist` to n first.
-void bfs_into(const Graph& g, Vertex source, std::vector<std::uint32_t>& dist,
-              std::vector<Vertex>& frontier);
-
-/// CSR twins of bfs_into: identical traversal order (neighbors ascending),
-/// identical buffers, so distances are byte-identical to the adjacency-list
-/// path.  This is the serving hot loop — the oracle, the verifier, and APSP
-/// all run on it.
-void bfs_into(const Csr& g, Vertex source, std::span<std::uint32_t> dist,
-              std::vector<Vertex>& frontier);
-void bfs_into(const Csr& g, Vertex source, std::vector<std::uint32_t>& dist,
-              std::vector<Vertex>& frontier);
 
 /// BFS from a set of sources.  Ties between equidistant sources are broken
 /// towards the source reached through the smallest-ID parent chain; with the

@@ -113,9 +113,9 @@ class BfsScratch {
   std::vector<Vertex> frontier_;      // reached vertices in discovery order
 };
 
-/// The direction-optimizing twin of graph::bfs_into: fills `dist` (size n)
-/// with d(source, ·), kInfDist where unreachable, byte-identical to the
-/// top-down result for every kernel.  `scratch` is reused across calls.
+/// Single-source BFS into a caller-owned buffer: fills `dist` (size n) with
+/// d(source, ·), kInfDist where unreachable, byte-identical to graph::bfs
+/// for every kernel.  `scratch` is reused across calls.
 void bfs_kernel_into(const Csr& g, Vertex source, std::span<std::uint32_t> dist,
                      BfsScratch& scratch,
                      BfsKernel kernel = BfsKernel::kAuto,

@@ -6,15 +6,13 @@
 // compares is a pure function of the request history, never of wall-clock
 // or thread scheduling.
 //
-//   * Counter       — a monotonic uint64 (cache hits, sheds, ...).
-//   * HighWater     — a monotonic maximum (queue-depth high-water marks).
 //   * Histogram     — fixed upper-bound buckets over uint64 samples.  Fed
-//                     *work* values (batch sizes, per-replica queue depths)
-//                     the bucket counts are byte-identical across runs and
-//                     thread counts, so tests assert on them directly.  Fed
-//                     wall-clock values (serve latency) the counts are
-//                     timing-only: exported for humans, excluded from every
-//                     digest a gate compares.
+//                     *work* values (batch sizes) the bucket counts are
+//                     byte-identical across runs and thread counts, so
+//                     tests assert on them directly.  Fed wall-clock values
+//                     (serve latency) the counts are timing-only: exported
+//                     for humans, excluded from every digest a gate
+//                     compares.
 //   * Digest        — an order-sensitive mix64 fold over uint64 words, the
 //                     cluster-counter analogue of apps::digest_answers.
 //
@@ -31,28 +29,6 @@
 #include "util/json.hpp"
 
 namespace nas::metrics {
-
-/// Monotonic event counter.
-class Counter {
- public:
-  void add(std::uint64_t delta = 1) { value_ += delta; }
-  [[nodiscard]] std::uint64_t value() const { return value_; }
-
- private:
-  std::uint64_t value_ = 0;
-};
-
-/// Monotonic maximum — records the largest value ever observed.
-class HighWater {
- public:
-  void observe(std::uint64_t value) {
-    if (value > value_) value_ = value;
-  }
-  [[nodiscard]] std::uint64_t value() const { return value_; }
-
- private:
-  std::uint64_t value_ = 0;
-};
 
 /// Fixed-bucket histogram over uint64 samples.  Bucket i counts samples
 /// <= bounds[i]; one implicit overflow bucket counts the rest, so

@@ -11,11 +11,10 @@
 //   STATS         one JSON object line: cluster configuration + cumulative
 //                 serving counters (the nas_serve --stats-json schema plus
 //                 the server's connection counters).
-//   METRICS       one JSON object line: the cluster's work metrics — batch
-//                 and replica-depth histograms, queue-depth high-water
-//                 marks, lifetime per-replica counters, metrics_digest —
-//                 plus the timing-only serve-latency histogram (the
-//                 serve::cluster_metrics_fields schema).
+//   METRICS       one JSON object line: the cluster's work metrics — the
+//                 serve-call count, the batch-size histogram, and
+//                 metrics_digest — plus the timing-only serve-latency
+//                 histogram (the serve::cluster_metrics_fields schema).
 //   QUIT          the server replies "BYE" and closes after flushing.
 //
 // Anything else is answered with one "ERR <reason>" line.  Errors that

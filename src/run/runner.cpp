@@ -172,8 +172,6 @@ ResultRow Runner::run_one(const ScenarioSpec& spec, std::size_t index,
         const serve::ClusterOptions cluster_options{
             .shards = spec.cluster_shards,
             .partition = spec.partition,
-            .replicas = spec.replicas,
-            .route = spec.route,
             .shard_cache_budget_bytes = spec.cache_budget,
             .bfs_kernel = graph::parse_bfs_kernel(spec.bfs_kernel)};
         std::optional<serve::ShardedCluster> cluster;
@@ -202,8 +200,6 @@ ResultRow Runner::run_one(const ScenarioSpec& spec, std::size_t index,
         row.oracle_evictions = stats.evictions;
         row.oracle_digest = apps::digest_answers(answers);
         row.cluster_shards_used = stats.shards_used;
-        row.cluster_sheds = stats.sheds;
-        row.cluster_queue_high_water = stats.queue_depth_high_water;
         row.cluster_counter_digest = stats.digest();
       }
       row.served = true;  // only after the stage ran; a throw leaves false

@@ -65,10 +65,7 @@ struct ResultRow {
   std::uint64_t oracle_evictions = 0;
   std::uint64_t oracle_digest = 0;
   std::uint64_t cluster_shards_used = 0;  ///< shards with >= 1 routed request
-  /// Replica-group results (cluster path only; all deterministic).
-  std::uint64_t cluster_sheds = 0;  ///< admission-control reroutes
-  std::uint64_t cluster_queue_high_water = 0;  ///< max planned replica depth
-  std::uint64_t cluster_counter_digest = 0;    ///< ClusterStats::digest()
+  std::uint64_t cluster_counter_digest = 0;  ///< ClusterStats::digest()
   /// Snapshot round-trip results (spec.snapshot_format != "none"): the
   /// on-disk size of the saved snapshot.  Deterministic — v1 is canonical
   /// text, v2 a fixed-layout binary image — so the sinks always emit it.

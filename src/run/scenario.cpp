@@ -6,7 +6,6 @@
 
 #include "graph/bfs_kernel.hpp"
 #include "serve/partition.hpp"
-#include "serve/replica.hpp"
 
 namespace nas::run {
 
@@ -54,12 +53,6 @@ std::string ScenarioSpec::id() const {
       out += std::to_string(cluster_shards);
       out += "/";
       out += partition;
-      if (replicas != 1 || route != "round-robin") {
-        out += "/r=";
-        out += std::to_string(replicas);
-        out += "/";
-        out += route;
-      }
     }
     if (snapshot_format != "none") {
       out += "/sf=";
@@ -89,43 +82,38 @@ std::vector<ScenarioSpec> ScenarioMatrix::expand() const {
                       for (const auto threads : query_threads)
                         for (const auto shards : cluster_shards)
                           for (const auto& partition : partitions)
-                            for (const auto reps : replica_counts)
-                              for (const auto& route : routes)
-                                for (const auto& snapshot_format :
-                                     snapshot_formats)
-                                  for (const auto& bfs_kernel : bfs_kernels) {
-                                    ScenarioSpec s;
-                                    s.family = family;
-                                    s.n = n;
-                                    s.seed = seed;
-                                    s.algo = algo;
-                                    s.algo_seed = algo_seed;
-                                    s.eps = eps;
-                                    s.kappa = kappa;
-                                    s.rho = rho;
-                                    s.mode = mode;
-                                    s.substrate = substrate;
-                                    s.build_threads = build_threads;
-                                    s.crosscheck = crosscheck;
-                                    s.validate = validate;
-                                    s.verify_mode = verify_mode;
-                                    s.verify_sources = verify_sources;
-                                    s.verify_threads = verify_threads;
-                                    s.verify_seed = verify_seed;
-                                    s.workload = workload;
-                                    s.queries = queries;
-                                    s.workload_seed = workload_seed;
-                                    s.zipf_theta = zipf_theta;
-                                    s.cache_budget = cache_budget;
-                                    s.query_threads = threads;
-                                    s.cluster_shards = shards;
-                                    s.partition = partition;
-                                    s.replicas = reps;
-                                    s.route = route;
-                                    s.snapshot_format = snapshot_format;
-                                    s.bfs_kernel = bfs_kernel;
-                                    specs.push_back(std::move(s));
-                                  }
+                            for (const auto& snapshot_format : snapshot_formats)
+                              for (const auto& bfs_kernel : bfs_kernels) {
+                                ScenarioSpec s;
+                                s.family = family;
+                                s.n = n;
+                                s.seed = seed;
+                                s.algo = algo;
+                                s.algo_seed = algo_seed;
+                                s.eps = eps;
+                                s.kappa = kappa;
+                                s.rho = rho;
+                                s.mode = mode;
+                                s.substrate = substrate;
+                                s.build_threads = build_threads;
+                                s.crosscheck = crosscheck;
+                                s.validate = validate;
+                                s.verify_mode = verify_mode;
+                                s.verify_sources = verify_sources;
+                                s.verify_threads = verify_threads;
+                                s.verify_seed = verify_seed;
+                                s.workload = workload;
+                                s.queries = queries;
+                                s.workload_seed = workload_seed;
+                                s.zipf_theta = zipf_theta;
+                                s.cache_budget = cache_budget;
+                                s.query_threads = threads;
+                                s.cluster_shards = shards;
+                                s.partition = partition;
+                                s.snapshot_format = snapshot_format;
+                                s.bfs_kernel = bfs_kernel;
+                                specs.push_back(std::move(s));
+                              }
   return specs;
 }
 
@@ -133,8 +121,8 @@ std::size_t ScenarioMatrix::size() const {
   return families.size() * ns.size() * seeds.size() * algos.size() *
          algo_seeds.size() * epss.size() * kappas.size() * rhos.size() *
          workloads.size() * cache_budgets.size() * query_threads.size() *
-         cluster_shards.size() * partitions.size() * replica_counts.size() *
-         routes.size() * snapshot_formats.size() * bfs_kernels.size();
+         cluster_shards.size() * partitions.size() * snapshot_formats.size() *
+         bfs_kernels.size();
 }
 
 std::vector<std::string> split_list(const std::string& text) {
@@ -257,22 +245,6 @@ void ScenarioMatrix::set(const std::string& key, const std::string& value) {
           (void)serve::parse_partition(v);  // validates; throws on bad names
           return v;
         });
-  } else if (key == "replicas") {
-    replica_counts = parse_list<unsigned>(
-        key, value, [&](const std::string& k, const std::string& v) {
-          const auto parsed = non_negative(k, v);
-          if (parsed == 0) {
-            throw std::invalid_argument("scenario key \"" + k +
-                                        "\" must be >= 1, got " + v);
-          }
-          return parsed;
-        });
-  } else if (key == "route") {
-    routes = parse_list<std::string>(
-        key, value, [](const std::string&, const std::string& v) {
-          (void)serve::parse_route_policy(v);  // validates; throws on bad names
-          return v;
-        });
   } else if (key == "snapshot-format") {
     snapshot_formats = parse_list<std::string>(
         key, value, [](const std::string&, const std::string& v) {
@@ -330,10 +302,6 @@ void ScenarioMatrix::apply_flags(const util::Flags& flags) {
       {"cluster-shards", "0",
        "serving-cluster shard counts, 0 = single oracle (comma list)"},
       {"partition", "hash", "cluster partitioners: hash|range (comma list)"},
-      {"replicas", "1", "replicas per cluster shard (comma list)"},
-      {"route", "round-robin",
-       "replica routing policies: round-robin|least-loaded|deterministic "
-       "(comma list)"},
       {"snapshot-format", "none",
        "serving snapshot round-trips: none|v1|v2 (comma list)"},
       {"bfs-kernel", "auto",

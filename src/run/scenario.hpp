@@ -79,14 +79,6 @@ struct ScenarioSpec {
   unsigned cluster_shards = 0;
   std::string partition = "hash";
 
-  // Replica-group axes (serve::ReplicaGroup, only meaningful when
-  // cluster_shards >= 1): replicas per shard and the routing policy
-  // ("round-robin" | "least-loaded" | "deterministic").  Answers are
-  // byte-identical across both axes — they only move the per-replica
-  // counters.
-  unsigned replicas = 1;
-  std::string route = "round-robin";
-
   // Snapshot round-trip axis: "none" serves straight from the built spanner;
   // "v1"/"v2" save the oracle snapshot in that format, reload it (v2 via
   // mmap), and serve from the loaded structure — measuring warmup cost and
@@ -102,11 +94,11 @@ struct ScenarioSpec {
   /// Compact deterministic identifier, e.g.
   /// "er/n=512/seed=1/em/eps=0.25/kappa=3/rho=0.4"; serving scenarios append
   /// "/w=<workload>/q=<queries>/cb=<cache_budget>/qt=<query_threads>" (and
-  /// clustered ones "/cs=<cluster_shards>/<partition>", replicated ones
-  /// "/r=<replicas>/<route>", snapshot round-trips
-  /// "/sf=<snapshot_format>", non-default kernels "/bk=<bfs_kernel>") so
-  /// every expansion axis is visible in the id (rows of a serving sweep stay
-  /// distinguishable in logs and grouped sink output).
+  /// clustered ones "/cs=<cluster_shards>/<partition>", snapshot
+  /// round-trips "/sf=<snapshot_format>", non-default kernels
+  /// "/bk=<bfs_kernel>") so every expansion axis is visible in the id (rows
+  /// of a serving sweep stay distinguishable in logs and grouped sink
+  /// output).
   [[nodiscard]] std::string id() const;
 };
 
@@ -127,9 +119,6 @@ struct ScenarioMatrix {
   // Serving-cluster axes: shard counts (0 = single oracle) and partitioners.
   std::vector<unsigned> cluster_shards{0};
   std::vector<std::string> partitions{"hash"};
-  // Replica-group axes: replicas per shard and routing policies.
-  std::vector<unsigned> replica_counts{1};
-  std::vector<std::string> routes{"round-robin"};
   // Snapshot round-trip axis: none|v1|v2 (see ScenarioSpec::snapshot_format).
   std::vector<std::string> snapshot_formats{"none"};
   // BFS kernel axis: topdown|hybrid|auto (see ScenarioSpec::bfs_kernel).
@@ -151,9 +140,9 @@ struct ScenarioMatrix {
 
   /// The cross product in fixed nesting order — family outermost, then n,
   /// seed, algo, algo_seed, eps, kappa, rho, workload, cache_budget,
-  /// query_threads, cluster_shards, partition, replicas, route,
-  /// snapshot_format, bfs_kernel innermost.  Deterministic: the i-th spec
-  /// depends only on the axis lists, never on execution.
+  /// query_threads, cluster_shards, partition, snapshot_format, bfs_kernel
+  /// innermost.  Deterministic: the i-th spec depends only on the axis
+  /// lists, never on execution.
   [[nodiscard]] std::vector<ScenarioSpec> expand() const;
 
   /// Number of specs expand() will produce.

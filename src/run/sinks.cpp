@@ -52,12 +52,6 @@ util::JsonObject row_fields(const ResultRow& row, const SinkOptions& options) {
        JsonValue::number(static_cast<std::uint64_t>(spec.cluster_shards))},
       {"cluster_partition", JsonValue::str(spec.partition)},
       {"cluster_shards_used", JsonValue::number(row.cluster_shards_used)},
-      {"cluster_replicas",
-       JsonValue::number(static_cast<std::uint64_t>(spec.replicas))},
-      {"cluster_route", JsonValue::str(spec.route)},
-      {"cluster_sheds", JsonValue::number(row.cluster_sheds)},
-      {"cluster_queue_high_water",
-       JsonValue::number(row.cluster_queue_high_water)},
       {"cluster_counter_digest", JsonValue::hex64(row.cluster_counter_digest)},
       {"snapshot_format", JsonValue::str(spec.snapshot_format)},
       {"snapshot_bytes", JsonValue::number(row.snapshot_bytes)},

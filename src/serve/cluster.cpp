@@ -1,6 +1,5 @@
 #include "serve/cluster.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -11,39 +10,30 @@ namespace nas::serve {
 
 namespace {
 
-ReplicaGroupOptions group_options(const ClusterOptions& options) {
-  return ReplicaGroupOptions{.replicas = options.replicas,
-                             .policy = parse_route_policy(options.route),
-                             .queue_depth = options.replica_queue_depth};
-}
-
-std::vector<ReplicaGroup> make_groups(const graph::Csr& spanner,
-                                      double multiplicative, double additive,
-                                      const ClusterOptions& options) {
+std::vector<apps::SpannerDistanceOracle> make_shards(
+    const graph::Csr& spanner, double multiplicative, double additive,
+    const ClusterOptions& options) {
   const apps::OracleOptions oracle_options{
       .cache_budget_bytes = options.shard_cache_budget_bytes,
       .bfs_kernel = options.bfs_kernel};
-  const ReplicaGroupOptions replica_options = group_options(options);
-  std::vector<ReplicaGroup> groups;
-  groups.reserve(options.shards);
+  std::vector<apps::SpannerDistanceOracle> shards;
+  shards.reserve(options.shards);
   for (unsigned s = 0; s < options.shards; ++s) {
-    // Csr copies are O(1) views onto the same arrays: every oracle in every
-    // group serves the identical immutable structure, only the caches are
-    // per-replica.
-    groups.emplace_back(spanner, multiplicative, additive, oracle_options,
-                        replica_options);
+    // Csr copies are O(1) views onto the same arrays: every shard serves the
+    // identical immutable structure, only the caches are per-shard.
+    shards.emplace_back(spanner, multiplicative, additive, oracle_options);
   }
-  return groups;
+  return shards;
 }
 
 }  // namespace
 
-ShardedCluster::ShardedCluster(std::vector<ReplicaGroup> groups,
+ShardedCluster::ShardedCluster(std::vector<apps::SpannerDistanceOracle> shards,
                                const ClusterOptions& options)
     : partitioner_(parse_partition(options.partition), options.shards,
-                   groups.empty() ? 0 : groups.front().replica(0).num_vertices()),
-      groups_(std::move(groups)) {
-  if (groups_.size() != options.shards) {
+                   shards.empty() ? 0 : shards.front().num_vertices()),
+      shards_(std::move(shards)) {
+  if (shards_.size() != options.shards) {
     throw std::invalid_argument("ShardedCluster: shard count mismatch");
   }
 }
@@ -56,7 +46,7 @@ ShardedCluster::ShardedCluster(const graph::Graph& spanner,
 
 ShardedCluster::ShardedCluster(graph::Csr spanner, double multiplicative,
                                double additive, const ClusterOptions& options)
-    : ShardedCluster(make_groups(spanner, multiplicative, additive, options),
+    : ShardedCluster(make_shards(spanner, multiplicative, additive, options),
                      options) {}
 
 ShardedCluster ShardedCluster::from_snapshot_files(
@@ -78,8 +68,7 @@ ShardedCluster ShardedCluster::from_snapshot_files(
   if (paths.size() == 1) {
     // One snapshot, loaded/mapped once: every oracle views the same CSR
     // arrays (for a v2 snapshot that is the mmap handoff — the file is
-    // mapped a single time and the mapping is shared across all shards and
-    // replicas).
+    // mapped a single time and the mapping is shared across all shards).
     const auto loaded =
         apps::SpannerDistanceOracle::load_file(paths.front(), oracle_options);
     return ShardedCluster(loaded.csr(), loaded.multiplicative(),
@@ -113,16 +102,7 @@ ShardedCluster ShardedCluster::from_snapshot_files(
                                " disagrees on the guarantee pair");
     }
   }
-  // Each shard's group replicates over its own snapshot's CSR (the Csr view
-  // keeps the underlying arrays/mapping alive past `loaded`).
-  const ReplicaGroupOptions replica_options = group_options(options);
-  std::vector<ReplicaGroup> groups;
-  groups.reserve(loaded.size());
-  for (const auto& oracle : loaded) {
-    groups.emplace_back(oracle.csr(), oracle.multiplicative(),
-                        oracle.additive(), oracle_options, replica_options);
-  }
-  return ShardedCluster(std::move(groups), options);
+  return ShardedCluster(std::move(loaded), options);
 }
 
 std::vector<std::uint32_t> ShardedCluster::serve(
@@ -130,136 +110,74 @@ std::vector<std::uint32_t> ShardedCluster::serve(
   const util::Timer timer;
   const Router router(partitioner_);
   const auto plan = router.plan(batch);
-  const std::size_t shard_count = groups_.size();
+  const std::size_t shard_count = shards_.size();
 
-  // Phase 1 (serial): route each shard's sub-batch across its replicas.
-  // Planning before execution is what makes least-loaded deterministic —
-  // "outstanding depth" is a property of the plan, not of thread timing.
-  std::vector<ReplicaPlan> replica_plans(shard_count);
-  struct Unit {
-    std::size_t shard;
-    unsigned replica;
-  };
-  std::vector<Unit> units;
+  // Each ThreadPool slot owns a contiguous block of the non-empty shards and
+  // touches only those oracles, answer slots, and stats slots, so the
+  // results are independent of the slot count.  Empty shards are skipped
+  // (their cache state stays untouched).
+  std::vector<std::size_t> busy;
   for (std::size_t s = 0; s < shard_count; ++s) {
-    if (plan.queries[s].empty()) continue;
-    replica_plans[s] = groups_[s].plan(plan.queries[s]);
-    for (unsigned r = 0; r < groups_[s].size(); ++r) {
-      if (!replica_plans[s].queries[r].empty()) {
-        units.push_back(Unit{s, r});
-      }
-    }
+    if (!plan.queries[s].empty()) busy.push_back(s);
   }
-
-  // Phase 2 (parallel): each ThreadPool slot owns a contiguous block of
-  // (shard, replica) units and touches only those oracles, answer slots,
-  // and stats slots, so the results are independent of the slot count.
-  // Empty units were skipped above (their cache state stays untouched).
-  std::vector<std::vector<std::vector<std::uint32_t>>> replica_answers(
-      shard_count);
-  std::vector<std::vector<apps::BatchStats>> replica_stats(shard_count);
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    replica_answers[s].resize(groups_[s].size());
-    replica_stats[s].resize(groups_[s].size());
-  }
+  std::vector<std::vector<std::uint32_t>> shard_answers(shard_count);
+  std::vector<apps::BatchStats> shard_stats(shard_count);
   util::ThreadPool::run_sharded(
-      units.size(), threads, [&](std::size_t begin, std::size_t end) {
+      busy.size(), threads, [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
-          const auto [s, r] = units[i];
-          groups_[s].execute(replica_plans[s], r, &replica_answers[s][r],
-                             &replica_stats[s][r]);
+          const std::size_t s = busy[i];
+          shard_answers[s] =
+              shards_[s].batch_query(plan.queries[s], 1, &shard_stats[s]);
         }
       });
 
-  // Phase 3 (serial): merge replica answers to sub-batch order, fold the
-  // pass into lifetime counters and work metrics, assemble per-call stats.
-  std::vector<std::vector<std::uint32_t>> shard_answers(shard_count);
-  std::vector<std::vector<ReplicaCounters>> per_replica(shard_count);
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    if (plan.queries[s].empty()) {
-      per_replica[s].assign(groups_[s].size(), ReplicaCounters{});
-      continue;
-    }
-    shard_answers[s] = ReplicaGroup::merge(replica_plans[s], replica_answers[s],
-                                           plan.queries[s].size());
-    groups_[s].absorb(replica_plans[s], replica_stats[s], &per_replica[s]);
-  }
-
   ++metrics_.serve_calls;
   metrics_.batch_requests.record(batch.size());
-  for (const auto& unit : units) {
-    const auto depth = replica_plans[unit.shard].queries[unit.replica].size();
-    metrics_.replica_depth.record(depth);
-    metrics_.queue_depth_high_water.observe(depth);
-  }
   metrics_.serve_latency_ms.record(
       static_cast<std::uint64_t>(timer.millis()));
 
   if (stats != nullptr) {
     *stats = ClusterStats{};
-    stats->requests = batch.size();
     stats->shards_used = plan.shards_used();
     stats->per_shard.resize(shard_count);
-    stats->per_replica = std::move(per_replica);
+    ShardCounters& totals = *stats;
     for (std::size_t s = 0; s < shard_count; ++s) {
-      auto& c = stats->per_shard[s];
-      c.requests = plan.queries[s].size();
-      for (const auto& rc : stats->per_replica[s]) {
-        c.distinct_sources += rc.distinct_sources;
-        c.cache_hits += rc.cache_hits;
-        c.bfs_passes += rc.bfs_passes;
-        c.evictions += rc.evictions;
-        stats->sheds += rc.sheds;
-        stats->queue_depth_high_water =
-            std::max(stats->queue_depth_high_water, rc.queue_high_water);
-      }
-      stats->distinct_sources += c.distinct_sources;
-      stats->cache_hits += c.cache_hits;
-      stats->bfs_passes += c.bfs_passes;
-      stats->evictions += c.evictions;
+      const apps::BatchStats& b = shard_stats[s];
+      stats->per_shard[s] = {.requests = plan.queries[s].size(),
+                             .distinct_sources = b.distinct_sources,
+                             .cache_hits = b.cache_hits,
+                             .bfs_passes = b.bfs_passes,
+                             .evictions = b.evictions};
+      totals += stats->per_shard[s];
     }
   }
   return Router::merge(plan, shard_answers, batch.size());
 }
 
-ClusterStats& ClusterStats::operator+=(const ClusterStats& other) {
+ShardCounters& ShardCounters::operator+=(const ShardCounters& other) {
   requests += other.requests;
   distinct_sources += other.distinct_sources;
   cache_hits += other.cache_hits;
   bfs_passes += other.bfs_passes;
   evictions += other.evictions;
-  sheds += other.sheds;
-  queue_depth_high_water =
-      std::max(queue_depth_high_water, other.queue_depth_high_water);
+  return *this;
+}
+
+void ShardCounters::fold_into(metrics::Digest* digest) const {
+  digest->add(requests);
+  digest->add(distinct_sources);
+  digest->add(cache_hits);
+  digest->add(bfs_passes);
+  digest->add(evictions);
+}
+
+ClusterStats& ClusterStats::operator+=(const ClusterStats& other) {
+  ShardCounters::operator+=(other);
   if (per_shard.size() < other.per_shard.size()) {
     per_shard.resize(other.per_shard.size());
   }
   for (std::size_t s = 0; s < other.per_shard.size(); ++s) {
-    per_shard[s].requests += other.per_shard[s].requests;
-    per_shard[s].distinct_sources += other.per_shard[s].distinct_sources;
-    per_shard[s].cache_hits += other.per_shard[s].cache_hits;
-    per_shard[s].bfs_passes += other.per_shard[s].bfs_passes;
-    per_shard[s].evictions += other.per_shard[s].evictions;
-  }
-  if (per_replica.size() < other.per_replica.size()) {
-    per_replica.resize(other.per_replica.size());
-  }
-  for (std::size_t s = 0; s < other.per_replica.size(); ++s) {
-    if (per_replica[s].size() < other.per_replica[s].size()) {
-      per_replica[s].resize(other.per_replica[s].size());
-    }
-    for (std::size_t r = 0; r < other.per_replica[s].size(); ++r) {
-      auto& mine = per_replica[s][r];
-      const auto& theirs = other.per_replica[s][r];
-      mine.requests += theirs.requests;
-      mine.sheds += theirs.sheds;
-      mine.distinct_sources += theirs.distinct_sources;
-      mine.cache_hits += theirs.cache_hits;
-      mine.bfs_passes += theirs.bfs_passes;
-      mine.evictions += theirs.evictions;
-      mine.queue_high_water =
-          std::max(mine.queue_high_water, theirs.queue_high_water);
-    }
+    per_shard[s] += other.per_shard[s];
   }
   shards_used = 0;
   for (const auto& c : per_shard) {
@@ -270,35 +188,10 @@ ClusterStats& ClusterStats::operator+=(const ClusterStats& other) {
 
 std::uint64_t ClusterStats::digest() const {
   metrics::Digest d;
-  d.add(requests);
+  fold_into(&d);
   d.add(shards_used);
-  d.add(distinct_sources);
-  d.add(cache_hits);
-  d.add(bfs_passes);
-  d.add(evictions);
-  d.add(sheds);
-  d.add(queue_depth_high_water);
   d.add(per_shard.size());
-  for (const auto& c : per_shard) {
-    d.add(c.requests);
-    d.add(c.distinct_sources);
-    d.add(c.cache_hits);
-    d.add(c.bfs_passes);
-    d.add(c.evictions);
-  }
-  d.add(per_replica.size());
-  for (const auto& shard : per_replica) {
-    d.add(shard.size());
-    for (const auto& rc : shard) {
-      d.add(rc.requests);
-      d.add(rc.sheds);
-      d.add(rc.distinct_sources);
-      d.add(rc.cache_hits);
-      d.add(rc.bfs_passes);
-      d.add(rc.evictions);
-      d.add(rc.queue_high_water);
-    }
-  }
+  for (const auto& c : per_shard) c.fold_into(&d);
   return d.value();
 }
 
@@ -306,33 +199,9 @@ std::uint64_t ClusterMetrics::work_digest() const {
   metrics::Digest d;
   d.add(serve_calls);
   d.add(batch_requests);
-  d.add(replica_depth);
-  d.add(queue_depth_high_water.value());
   // serve_latency_ms is wall-clock and deliberately excluded.
   return d.value();
 }
-
-namespace {
-
-/// Renders [shard][replica] counters as one nested JSON array literal,
-/// e.g. "[[3,2],[4,1]]".
-template <typename Field>
-std::string nested(const std::vector<std::vector<ReplicaCounters>>& per_replica,
-                   Field field) {
-  std::string out = "[";
-  for (std::size_t s = 0; s < per_replica.size(); ++s) {
-    if (s) out += ",";
-    out += "[";
-    for (std::size_t r = 0; r < per_replica[s].size(); ++r) {
-      if (r) out += ",";
-      out += std::to_string(field(per_replica[s][r]));
-    }
-    out += "]";
-  }
-  return out + "]";
-}
-
-}  // namespace
 
 util::JsonObject cluster_stats_fields(const ShardedCluster& cluster,
                                       const ClusterStats& stats) {
@@ -340,11 +209,6 @@ util::JsonObject cluster_stats_fields(const ShardedCluster& cluster,
       {"shards", util::JsonValue::number(
                      static_cast<std::uint64_t>(cluster.num_shards()))},
       {"partition", util::JsonValue::str(cluster.partitioner().name())},
-      {"replicas", util::JsonValue::number(
-                       static_cast<std::uint64_t>(cluster.num_replicas()))},
-      {"route", util::JsonValue::str(route_policy_name(cluster.route_policy()))},
-      {"replica_queue_depth",
-       util::JsonValue::number(cluster.replica_queue_depth())},
       {"shard_cache_capacity",
        util::JsonValue::number(cluster.shard(0).cache_capacity())},
       {"universe", util::JsonValue::number(
@@ -355,9 +219,6 @@ util::JsonObject cluster_stats_fields(const ShardedCluster& cluster,
       {"cache_hits", util::JsonValue::number(stats.cache_hits)},
       {"bfs_passes", util::JsonValue::number(stats.bfs_passes)},
       {"evictions", util::JsonValue::number(stats.evictions)},
-      {"sheds", util::JsonValue::number(stats.sheds)},
-      {"queue_high_water",
-       util::JsonValue::number(stats.queue_depth_high_water)},
   };
   // Per-shard request/hit/BFS counters as parallel arrays: deterministic,
   // so a stats diff localizes a routing or cache regression to its shard.
@@ -381,27 +242,6 @@ util::JsonObject cluster_stats_fields(const ShardedCluster& cluster,
       "shard_hits", util::JsonValue::literal(joined([](const ShardCounters& c) {
         return c.cache_hits;
       })));
-  // Per-replica counters as nested arrays (one inner array per shard), so a
-  // routing-policy regression localizes to its (shard, replica) cell.
-  fields.emplace_back(
-      "replica_requests",
-      util::JsonValue::literal(nested(
-          stats.per_replica,
-          [](const ReplicaCounters& c) { return c.requests; })));
-  fields.emplace_back(
-      "replica_sheds",
-      util::JsonValue::literal(nested(
-          stats.per_replica, [](const ReplicaCounters& c) { return c.sheds; })));
-  fields.emplace_back(
-      "replica_bfs",
-      util::JsonValue::literal(nested(
-          stats.per_replica,
-          [](const ReplicaCounters& c) { return c.bfs_passes; })));
-  fields.emplace_back(
-      "replica_hits",
-      util::JsonValue::literal(nested(
-          stats.per_replica,
-          [](const ReplicaCounters& c) { return c.cache_hits; })));
   fields.emplace_back("counter_digest", util::JsonValue::hex64(stats.digest()));
   return fields;
 }
@@ -411,50 +251,12 @@ util::JsonObject cluster_metrics_fields(const ShardedCluster& cluster) {
   util::JsonObject fields{
       {"shards", util::JsonValue::number(
                      static_cast<std::uint64_t>(cluster.num_shards()))},
-      {"replicas", util::JsonValue::number(
-                       static_cast<std::uint64_t>(cluster.num_replicas()))},
-      {"route", util::JsonValue::str(route_policy_name(cluster.route_policy()))},
       {"serve_calls", util::JsonValue::number(m.serve_calls)},
-      {"queue_depth_high_water",
-       util::JsonValue::number(m.queue_depth_high_water.value())},
   };
   metrics::append_histogram_fields(&fields, "batch_requests",
                                    m.batch_requests);
-  metrics::append_histogram_fields(&fields, "replica_depth", m.replica_depth);
-  // Lifetime per-replica counters, nested as [shard][replica].
-  std::vector<std::vector<ReplicaCounters>> lifetime;
-  lifetime.reserve(cluster.num_shards());
-  for (unsigned s = 0; s < cluster.num_shards(); ++s) {
-    lifetime.push_back(cluster.group(s).counters());
-  }
-  fields.emplace_back(
-      "lifetime_replica_requests",
-      util::JsonValue::literal(nested(
-          lifetime, [](const ReplicaCounters& c) { return c.requests; })));
-  fields.emplace_back(
-      "lifetime_replica_sheds",
-      util::JsonValue::literal(
-          nested(lifetime, [](const ReplicaCounters& c) { return c.sheds; })));
-  fields.emplace_back(
-      "lifetime_replica_high_water",
-      util::JsonValue::literal(nested(lifetime, [](const ReplicaCounters& c) {
-        return c.queue_high_water;
-      })));
-  metrics::Digest digest;
-  digest.add(cluster.metrics().work_digest());
-  for (const auto& shard : lifetime) {
-    digest.add(shard.size());
-    for (const auto& rc : shard) {
-      digest.add(rc.requests);
-      digest.add(rc.sheds);
-      digest.add(rc.distinct_sources);
-      digest.add(rc.cache_hits);
-      digest.add(rc.bfs_passes);
-      digest.add(rc.evictions);
-      digest.add(rc.queue_high_water);
-    }
-  }
-  fields.emplace_back("metrics_digest", util::JsonValue::hex64(digest.value()));
+  fields.emplace_back("metrics_digest",
+                      util::JsonValue::hex64(m.work_digest()));
   // Wall-clock latency last: timing-only, excluded from metrics_digest.
   metrics::append_histogram_fields(&fields, "serve_latency_ms",
                                    m.serve_latency_ms);

@@ -1,4 +1,4 @@
-// Sharded, replicated distance-oracle serving cluster.
+// Sharded distance-oracle serving cluster.
 //
 // PR 4's serving layer stopped at one DistanceOracle per process — one
 // snapshot, one bounded cache, one batch loop.  Memory per node is exactly
@@ -6,25 +6,21 @@
 // linear-size spanner is what makes partitioning viable: every shard can
 // afford the whole structure (O(β·n^{1+1/κ}) edges), so only the *cache* —
 // the 4·n-bytes-per-source part that actually grows with traffic — needs
-// partitioning.  A ShardedCluster is N ReplicaGroups (R shard oracles each)
-// sharing one immutable CSR spanner (graph::Csr copies are O(1) views onto
-// the same arrays; for a v2 binary snapshot those arrays live in a shared
-// file mapping), each oracle with its own byte-budgeted source cache,
-// fronted by a Router that assigns every request to the shard owning its
-// routing key and a per-shard routing policy that assigns it to a replica
-// (see serve/replica.hpp for the policy and admission-control semantics).
+// partitioning.  A ShardedCluster is N shard oracles sharing one immutable
+// CSR spanner (graph::Csr copies are O(1) views onto the same arrays; for a
+// v2 binary snapshot those arrays live in a shared file mapping), each with
+// its own byte-budgeted source cache, fronted by a Router that assigns
+// every request to the shard owning its routing key.
 //
 // Determinism contract (the repo's signature guarantee, extended to the
-// replicated cluster): the answer vector returned by `serve` is
-// byte-identical
-//   * at every `threads` value (execution units are disjoint
-//     (shard, replica) oracles),
-//   * at every shard count, replica count, and routing policy (each answer
-//     is d_H(u,v), which no oracle's cache state can change), and
+// cluster): the answer vector returned by `serve` is byte-identical
+//   * at every `threads` value (execution units are disjoint shard
+//     oracles),
+//   * at every shard count and partitioner (each answer is d_H(u,v), which
+//     no oracle's cache state can change), and
 //   * to a single SpannerDistanceOracle::batch_query over the same batch.
-// The served counters (requests, sheds, cache hits, BFS passes, evictions
-// per shard and per replica, queue-depth high-water marks, work-metric
-// histogram buckets) are pure functions of (partitioner, routing policy,
+// The served counters (requests, cache hits, BFS passes, evictions per
+// shard, work-metric histogram buckets) are pure functions of (partitioner,
 // batch history) — never of thread scheduling — so tests and CI compare
 // counters and digests, not wall-clock, which is meaningless on shared
 // runners.  The one exception is the serve-latency histogram in
@@ -32,7 +28,7 @@
 // from work_digest().
 //
 // Thread-safety: one serve() at a time per cluster; the concurrency happens
-// inside, across disjoint (shard, replica) oracles.
+// inside, across disjoint shard oracles.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +39,6 @@
 #include "apps/distance_oracle.hpp"
 #include "metrics/metrics.hpp"
 #include "serve/partition.hpp"
-#include "serve/replica.hpp"
 #include "serve/router.hpp"
 #include "util/json.hpp"
 
@@ -52,55 +47,44 @@ namespace nas::serve {
 struct ClusterOptions {
   unsigned shards = 1;
   std::string partition = "hash";  ///< "hash" | "range"
-  /// Replicas per shard and the policy that routes sub-batch requests
-  /// across them ("round-robin" | "least-loaded" | "deterministic").
-  unsigned replicas = 1;
-  std::string route = "round-robin";
-  /// Per-replica admission cap (planned sub-batch depth) at which a replica
-  /// sheds to its group; 0 = unbounded.  See ReplicaGroupOptions.
-  std::uint64_t replica_queue_depth = 0;
-  /// Source-cache budget *per replica* in bytes (each oracle resolves it to
-  /// a source count exactly like OracleOptions::cache_budget_bytes).
+  /// Source-cache budget *per shard* in bytes (each oracle resolves it to a
+  /// source count exactly like OracleOptions::cache_budget_bytes).
   std::uint64_t shard_cache_budget_bytes = 64ull << 20;
   /// BFS traversal strategy handed to every shard oracle (see
   /// OracleOptions::bfs_kernel — answers are byte-identical regardless).
   graph::BfsKernel bfs_kernel = graph::BfsKernel::kAuto;
 };
 
-/// Deterministic per-shard serving counters (replica counters summed).
+/// The deterministic serving counters, for one shard or summed over many.
+/// operator+= and fold_into() are the one place that lists them.
 struct ShardCounters {
-  std::uint64_t requests = 0;         ///< sub-batch requests routed here
-  std::uint64_t distinct_sources = 0; ///< deduplicated BFS sources (per replica)
+  std::uint64_t requests = 0;          ///< requests routed here
+  std::uint64_t distinct_sources = 0;  ///< deduplicated BFS sources
   std::uint64_t cache_hits = 0;
   std::uint64_t bfs_passes = 0;
   std::uint64_t evictions = 0;
+
+  ShardCounters& operator+=(const ShardCounters& other);
+  /// Adds every counter above to `digest`, in declaration order.
+  void fold_into(metrics::Digest* digest) const;
 };
 
-/// One serve() call's diagnostics: per-shard and per-replica counters plus
-/// their totals.  Every field is deterministic (see the file comment).
-struct ClusterStats {
-  std::uint64_t requests = 0;
+/// One serve() call's diagnostics: the counters summed over shards (the
+/// ShardCounters base) plus the per-shard entries.  Every field is
+/// deterministic (see the file comment).
+struct ClusterStats : ShardCounters {
   std::uint64_t shards_used = 0;  ///< shards that received >= 1 request
-  std::uint64_t distinct_sources = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t bfs_passes = 0;
-  std::uint64_t evictions = 0;
-  std::uint64_t sheds = 0;  ///< admission-control reroutes, all groups
-  std::uint64_t queue_depth_high_water = 0;  ///< max planned replica depth
   std::vector<ShardCounters> per_shard;
-  std::vector<std::vector<ReplicaCounters>> per_replica;  ///< [shard][replica]
 
   /// Accumulates another serve() call's counters (the long-running daemon
   /// sums per-batch stats into lifetime totals).  `shards_used` is
   /// recomputed from the merged per-shard requests, so it stays "shards
-  /// that ever received a request", not a sum of per-call counts;
-  /// `queue_depth_high_water` merges by max.
+  /// that ever received a request", not a sum of per-call counts.
   ClusterStats& operator+=(const ClusterStats& other);
 
-  /// Order-sensitive mix64 digest over every counter above, in declaration
-  /// order.  Under the deterministic routing policy this is byte-stable
-  /// across runs and thread counts, so CI compares one hex64 word per
-  /// configuration instead of full dumps.
+  /// Order-sensitive mix64 digest over the totals, `shards_used`, and every
+  /// per-shard entry.  Byte-stable across runs and thread counts, so CI
+  /// compares one hex64 word per configuration instead of full dumps.
   [[nodiscard]] std::uint64_t digest() const;
 };
 
@@ -111,9 +95,6 @@ struct ClusterMetrics {
   std::uint64_t serve_calls = 0;
   /// Requests per serve() call (pow2 buckets 1..2^16).
   metrics::Histogram batch_requests = metrics::Histogram::pow2(17);
-  /// Planned depth per non-empty (shard, replica) execution unit.
-  metrics::Histogram replica_depth = metrics::Histogram::pow2(17);
-  metrics::HighWater queue_depth_high_water;
   /// Wall-clock serve() latency in ms (pow2 buckets 1..2^15) — timing-only:
   /// exported for humans, excluded from work_digest() and every CI gate.
   metrics::Histogram serve_latency_ms = metrics::Histogram::pow2(16);
@@ -124,9 +105,9 @@ struct ClusterMetrics {
 class ShardedCluster {
  public:
   /// Partitions serving of `spanner` (guarantee d_H <= multiplicative·d_G +
-  /// additive) across options.shards replica groups of options.replicas
-  /// oracles each.  The adjacency is converted to CSR once and shared by
-  /// every oracle; per-oracle marginal memory is just its cache budget.
+  /// additive) across options.shards oracles.  The adjacency is converted
+  /// to CSR once and shared by every oracle; per-shard marginal memory is
+  /// just its cache budget.
   ShardedCluster(const graph::Graph& spanner, double multiplicative,
                  double additive, const ClusterOptions& options = {});
 
@@ -144,14 +125,12 @@ class ShardedCluster {
   [[nodiscard]] static ShardedCluster from_snapshot_files(
       const std::vector<std::string>& paths, const ClusterOptions& options = {});
 
-  /// Routes `batch` to its shards, routes each shard's sub-batch across its
-  /// replicas (serially, so routing is deterministic), executes the
-  /// non-empty (shard, replica) units across `threads` util::ThreadPool
-  /// slots (0 = hardware concurrency; each slot serves a contiguous block
-  /// of units, each oracle's batch_query runs serially), and merges the
-  /// answers back into batch order.  See the file comment for the
-  /// byte-identity contract.  `stats`, when non-null, receives the
-  /// deterministic serving counters.
+  /// Routes `batch` to its shards, runs the non-empty shards' sub-batches
+  /// across `threads` util::ThreadPool slots (0 = hardware concurrency; each
+  /// slot serves a contiguous block of shards, each oracle's batch_query
+  /// runs serially), and merges the answers back into batch order.  See the
+  /// file comment for the byte-identity contract.  `stats`, when non-null,
+  /// receives the deterministic serving counters.
   [[nodiscard]] std::vector<std::uint32_t> serve(
       std::span<const apps::Query> batch, unsigned threads = 1,
       ClusterStats* stats = nullptr);
@@ -159,25 +138,11 @@ class ShardedCluster {
   // --- introspection --------------------------------------------------------
 
   [[nodiscard]] unsigned num_shards() const {
-    return static_cast<unsigned>(groups_.size());
-  }
-  [[nodiscard]] unsigned num_replicas() const {
-    return groups_.front().size();
-  }
-  [[nodiscard]] RoutePolicy route_policy() const {
-    return groups_.front().policy();
-  }
-  [[nodiscard]] std::uint64_t replica_queue_depth() const {
-    return groups_.front().queue_depth();
+    return static_cast<unsigned>(shards_.size());
   }
   [[nodiscard]] const Partitioner& partitioner() const { return partitioner_; }
-  [[nodiscard]] const ReplicaGroup& group(unsigned s) const {
-    return groups_.at(s);
-  }
-  /// Shard s's first replica (the representative oracle for capacity and
-  /// guarantee introspection — all replicas are configured identically).
   [[nodiscard]] const apps::SpannerDistanceOracle& shard(unsigned s) const {
-    return groups_.at(s).replica(0);
+    return shards_.at(s);
   }
   [[nodiscard]] double multiplicative() const {
     return shard(0).multiplicative();
@@ -191,33 +156,30 @@ class ShardedCluster {
   [[nodiscard]] const ClusterMetrics& metrics() const { return metrics_; }
 
  private:
-  ShardedCluster(std::vector<ReplicaGroup> groups,
+  ShardedCluster(std::vector<apps::SpannerDistanceOracle> shards,
                  const ClusterOptions& options);
 
   Partitioner partitioner_;
-  std::vector<ReplicaGroup> groups_;
+  std::vector<apps::SpannerDistanceOracle> shards_;
   ClusterMetrics metrics_;
 };
 
 /// The shared stats-JSON schema for cluster serving: configuration (shards,
-/// partition, replicas, route, replica_queue_depth, shard_cache_capacity,
-/// universe) + the counters in `stats` + per-shard parallel arrays
-/// (shard_requests/shard_bfs/shard_hits) + per-replica nested arrays
-/// (replica_requests/replica_sheds/replica_bfs/replica_hits, one inner
-/// array per shard) + `counter_digest` (hex64 of stats.digest()).
-/// nas_serve appends its one-shot extras (digest, timings) and nas_served
-/// appends its connection counters; both share this core so the two tools
-/// can never drift on field semantics.
+/// partition, shard_cache_capacity, universe) + the counters in `stats` +
+/// per-shard parallel arrays (shard_requests/shard_bfs/shard_hits) +
+/// `counter_digest` (hex64 of stats.digest()).  nas_serve appends its
+/// one-shot extras (digest, timings) and nas_served appends its connection
+/// counters; both share this core so the two tools can never drift on field
+/// semantics.
 [[nodiscard]] util::JsonObject cluster_stats_fields(
     const ShardedCluster& cluster, const ClusterStats& stats);
 
-/// The METRICS-verb schema: serve_calls, the work histograms
-/// (batch_requests/replica_depth as `<name>_le`/`<name>_count`/... fields),
-/// queue_depth_high_water, lifetime per-replica counters (nested arrays),
-/// `metrics_digest` (hex64 of deterministic state only), and the
-/// timing-only serve_latency_ms histogram last.  Must be called from the
-/// thread that owns serve() (the net bridge worker routes METRICS requests
-/// there for exactly this reason).
+/// The METRICS-verb schema: shards, serve_calls, the batch_requests work
+/// histogram (as `<name>_le`/`<name>_count`/... fields), `metrics_digest`
+/// (hex64 of ClusterMetrics::work_digest()), and the timing-only
+/// serve_latency_ms histogram last.  Must be called from the thread that
+/// owns serve() (the net bridge worker routes METRICS requests there for
+/// exactly this reason).
 [[nodiscard]] util::JsonObject cluster_metrics_fields(
     const ShardedCluster& cluster);
 

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <set>
 #include <stdexcept>
@@ -118,6 +119,26 @@ class Flags {
     return v;
   }
 
+  /// Checks that an integer flag value lies in [lo, hi] and narrows it to
+  /// T; `hi` defaults to the largest value T (and int64) can hold.  The
+  /// error names the flag and the range, so `--port 70000` fails instead
+  /// of wrapping to another port.  Pass integer()'s result straight in so
+  /// the flag keeps its --help line:
+  ///   const auto port = Flags::in_range<std::uint16_t>(
+  ///       "port", flags.integer("port", 0, "TCP port"));
+  template <typename T>
+  [[nodiscard]] static T in_range(const std::string& name, std::int64_t value,
+                                  std::int64_t lo = 0,
+                                  std::int64_t hi = max_value<T>()) {
+    if (value < lo || value > hi) {
+      throw std::invalid_argument("flag --" + name + " must be in [" +
+                                  std::to_string(lo) + ", " +
+                                  std::to_string(hi) + "], got " +
+                                  std::to_string(value));
+    }
+    return static_cast<T>(value);
+  }
+
   /// True iff the user passed --name (with or without a value).
   [[nodiscard]] bool provided(const std::string& name) const {
     return values_.count(name) > 0;
@@ -164,6 +185,16 @@ class Flags {
   }
 
  private:
+  /// The largest int64 value that T can hold.
+  template <typename T>
+  [[nodiscard]] static constexpr std::int64_t max_value() {
+    constexpr auto t_max =
+        static_cast<std::uint64_t>(std::numeric_limits<T>::max());
+    constexpr auto i_max =
+        static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max());
+    return static_cast<std::int64_t>(std::min(t_max, i_max));
+  }
+
   struct Description {
     std::string name, fallback, desc;
   };

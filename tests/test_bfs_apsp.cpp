@@ -1,7 +1,6 @@
 // Tests for the centralized distance oracles (bfs, apsp, components, io).
 #include <gtest/gtest.h>
 
-#include <span>
 #include <sstream>
 #include <vector>
 
@@ -63,29 +62,6 @@ TEST(Bfs, HypercubeDistanceIsHamming) {
   const auto res = bfs(g, 0);
   EXPECT_EQ(res.dist[0b10101], 3u);
   EXPECT_EQ(res.dist[0b11111], 5u);
-}
-
-TEST(BfsInto, MatchesAllocatingBfsAndReusesBuffers) {
-  const Graph g = make_workload("er", 200, 7);
-  std::vector<std::uint32_t> dist;
-  std::vector<Vertex> frontier;
-  for (Vertex s = 0; s < g.num_vertices(); s += 23) {
-    bfs_into(g, s, dist, frontier);
-    const auto ref = bfs(g, s);
-    EXPECT_EQ(dist, ref.dist) << "source " << s;
-  }
-}
-
-TEST(BfsInto, ValidatesBufferSizeAndSource) {
-  const Graph g = path(5);
-  std::vector<std::uint32_t> wrong(3);
-  std::vector<Vertex> frontier;
-  EXPECT_THROW(
-      bfs_into(g, 0, std::span<std::uint32_t>(wrong.data(), wrong.size()),
-               frontier),
-      std::invalid_argument);
-  std::vector<std::uint32_t> dist;
-  EXPECT_THROW(bfs_into(g, 9, dist, frontier), std::invalid_argument);
 }
 
 TEST(Bfs, EccentricityAndDiameter) {

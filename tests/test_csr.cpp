@@ -1,14 +1,13 @@
 // Tests for graph::Csr, the flat serving-time adjacency: structural
-// equivalence with Graph across generator families, byte-identical BFS
-// between the CSR and adjacency-list hot paths, O(1) shared-storage copies
-// with keep-alive lifetime, and the to_graph round-trip.
+// equivalence with Graph across generator families, O(1) shared-storage
+// copies with keep-alive lifetime, and the to_graph round-trip.  BFS over
+// the CSR is compared against graph::bfs in test_bfs_kernels.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "graph/bfs.hpp"
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
@@ -65,33 +64,6 @@ TEST(Csr, HandcraftedAndEmptyGraphs) {
   EXPECT_EQ(c.degree(2), 0u);
   EXPECT_EQ(c.degree(4), 0u);
   EXPECT_TRUE(c.neighbors(2).empty());
-}
-
-TEST(Csr, BfsByteIdenticalToAdjacencyList) {
-  for (const char* family : {"er", "grid", "ba", "path", "complete"}) {
-    const Graph g = graph::make_workload(family, 200, 7);
-    const Csr c = Csr::from_graph(g);
-    const auto n = g.num_vertices();
-    std::vector<std::uint32_t> dist_g, dist_c;
-    std::vector<Vertex> frontier;
-    for (const Vertex s : {Vertex{0}, static_cast<Vertex>(n / 2),
-                           static_cast<Vertex>(n - 1)}) {
-      graph::bfs_into(g, s, dist_g, frontier);
-      graph::bfs_into(c, s, dist_c, frontier);
-      ASSERT_EQ(dist_c, dist_g) << family << " source " << s;
-    }
-  }
-}
-
-TEST(Csr, BfsHandlesDisconnectedComponents) {
-  const Graph g = Graph::from_edges(6, {{0, 1}, {2, 3}});
-  const Csr c = Csr::from_graph(g);
-  std::vector<std::uint32_t> dist;
-  std::vector<Vertex> frontier;
-  graph::bfs_into(c, 0, dist, frontier);
-  EXPECT_EQ(dist[1], 1u);
-  EXPECT_EQ(dist[2], graph::kInfDist);
-  EXPECT_EQ(dist[5], graph::kInfDist);
 }
 
 TEST(Csr, CopiesShareStorageAndKeepAliveHoldsViews) {

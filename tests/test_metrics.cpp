@@ -15,28 +15,8 @@
 namespace {
 
 using namespace nas;
-using metrics::Counter;
 using metrics::Digest;
-using metrics::HighWater;
 using metrics::Histogram;
-
-TEST(Counter, AccumulatesMonotonically) {
-  Counter c;
-  EXPECT_EQ(c.value(), 0u);
-  c.add();
-  c.add(41);
-  EXPECT_EQ(c.value(), 42u);
-}
-
-TEST(HighWater, KeepsTheMaximum) {
-  HighWater hw;
-  EXPECT_EQ(hw.value(), 0u);
-  hw.observe(7);
-  hw.observe(3);
-  EXPECT_EQ(hw.value(), 7u);
-  hw.observe(9);
-  EXPECT_EQ(hw.value(), 9u);
-}
 
 TEST(Histogram, DefaultIsOverflowOnly) {
   Histogram h;

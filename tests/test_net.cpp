@@ -157,14 +157,9 @@ struct TestServer {
   Server server;
   std::thread thread;
 
-  explicit TestServer(ServerOptions options = {}, unsigned shards = 2,
-                      unsigned replicas = 1,
-                      const std::string& route = "round-robin")
+  explicit TestServer(ServerOptions options = {}, unsigned shards = 2)
       : cluster(built().spanner, built().mult, built().add,
-                {.shards = shards,
-                 .partition = "hash",
-                 .replicas = replicas,
-                 .route = route}),
+                {.shards = shards, .partition = "hash"}),
         server(cluster, options),
         thread([this] { server.run(); }) {}
 
@@ -269,7 +264,7 @@ TEST(NetServer, StatsIsOneJsonObjectLine) {
 }
 
 TEST(NetServer, MetricsIsOneJsonObjectLine) {
-  TestServer ts({}, 2, 2, "deterministic");
+  TestServer ts;
   auto client = ts.connect();
   client.send("Q 0 1\nMETRICS\n");
   ASSERT_TRUE(client.recv_line().has_value());
@@ -278,8 +273,8 @@ TEST(NetServer, MetricsIsOneJsonObjectLine) {
   EXPECT_EQ(metrics->front(), '{');
   EXPECT_EQ(metrics->back(), '}');
   for (const char* field :
-       {"\"serve_calls\"", "\"batch_requests_le\"", "\"replica_depth_count\"",
-        "\"lifetime_replica_requests\"", "\"metrics_digest\"",
+       {"\"serve_calls\"", "\"batch_requests_le\"",
+        "\"batch_requests_count\"", "\"metrics_digest\"",
         "\"serve_latency_ms_le\""}) {
     EXPECT_NE(metrics->find(field), std::string::npos) << field;
   }
@@ -297,7 +292,7 @@ TEST(NetServer, SnapshotsUnderLoadAreRaceFree) {
   for (const auto& q : batch) {
     request += std::to_string(q.u) + " " + std::to_string(q.v) + "\n";
   }
-  TestServer ts({}, 2, 2, "round-robin");
+  TestServer ts({}, 2);
   std::thread streamer([&] {
     auto client = ts.connect();
     for (int pass = 0; pass < 20; ++pass) {

@@ -2,9 +2,9 @@
 // coverage and determinism, router plan/merge round-trips, cluster answers
 // byte-identical across shard counts {1,2,8} x thread counts {1,2,8} x both
 // partitioners and equal to the single-oracle baseline, deterministic
-// cluster counters, snapshot warmup, and the runner's cluster axes.  Per the
-// repo's single-core bench policy these tests assert determinism, never
-// wall-clock.
+// cluster counters and their lifetime sums, cluster work metrics, snapshot
+// warmup, and the runner's cluster axes.  Per the repo's single-core bench
+// policy these tests assert determinism, never wall-clock.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -232,6 +232,7 @@ TEST(ShardedCluster, CountersAreDeterministicAndThreadIndependent) {
     EXPECT_EQ(stats.cache_hits, reference.cache_hits);
     EXPECT_EQ(stats.bfs_passes, reference.bfs_passes);
     EXPECT_EQ(stats.evictions, reference.evictions);
+    EXPECT_EQ(stats.digest(), reference.digest()) << "threads=" << threads;
     for (std::size_t s = 0; s < stats.per_shard.size(); ++s) {
       EXPECT_EQ(stats.per_shard[s].requests,
                 reference.per_shard[s].requests);
@@ -261,6 +262,88 @@ TEST(ShardedCluster, RepeatedBatchesHitShardCaches) {
   // inserted into its owning shard's cache by the first batch.
   EXPECT_EQ(second.bfs_passes, 0u);
   EXPECT_EQ(second.cache_hits, second.distinct_sources);
+}
+
+TEST(ShardedCluster, StatsAccumulateAcrossServes) {
+  const Graph g = graph::make_workload("er", 160, 2);
+  const auto result = build_result(g);
+  ShardedCluster cluster(result.spanner,
+                         result.params.stretch_multiplicative(),
+                         result.params.stretch_additive(),
+                         {.shards = 4, .partition = "range"});
+  const auto batch =
+      apps::make_query_workload(g.num_vertices(), {"uniform", 200, 3, 0.99});
+  // Range partition: both requests route to shard 0 (min endpoint < n/4).
+  const std::vector<Query> low{{0, 100}, {1, 150}};
+  ClusterStats first, second, lifetime;
+  (void)cluster.serve(batch, 2, &first);
+  (void)cluster.serve(low, 2, &second);
+  ASSERT_EQ(first.shards_used, 4u);
+  ASSERT_EQ(second.shards_used, 1u);
+  lifetime += first;
+  lifetime += second;
+
+  EXPECT_EQ(lifetime.requests, batch.size() + low.size());
+  EXPECT_EQ(lifetime.distinct_sources,
+            first.distinct_sources + second.distinct_sources);
+  EXPECT_EQ(lifetime.cache_hits, first.cache_hits + second.cache_hits);
+  EXPECT_EQ(lifetime.bfs_passes, first.bfs_passes + second.bfs_passes);
+  EXPECT_EQ(lifetime.evictions, first.evictions + second.evictions);
+  ASSERT_EQ(lifetime.per_shard.size(), 4u);
+  for (std::size_t s = 0; s < 4; ++s) {
+    const auto& a = first.per_shard[s];
+    const auto& b = second.per_shard[s];
+    const auto& sum = lifetime.per_shard[s];
+    EXPECT_EQ(sum.requests, a.requests + b.requests) << "shard " << s;
+    EXPECT_EQ(sum.distinct_sources, a.distinct_sources + b.distinct_sources);
+    EXPECT_EQ(sum.cache_hits, a.cache_hits + b.cache_hits);
+    EXPECT_EQ(sum.bfs_passes, a.bfs_passes + b.bfs_passes);
+    EXPECT_EQ(sum.evictions, a.evictions + b.evictions);
+  }
+  // shards_used counts shards that ever received a request: recomputed from
+  // the merged per-shard requests, not summed (which would give 5).
+  EXPECT_EQ(lifetime.shards_used, 4u);
+}
+
+TEST(ShardedCluster, MetricsTrackWorkDeterministically) {
+  const Graph g = graph::make_workload("er", 150, 4);
+  const auto result = build_result(g);
+  const double mult = result.params.stretch_multiplicative();
+  const double add = result.params.stretch_additive();
+  const auto batch =
+      apps::make_query_workload(g.num_vertices(), {"uniform", 100, 1, 0.99});
+
+  const auto run_digest = [&](unsigned threads) {
+    ShardedCluster cluster(result.spanner, mult, add, {.shards = 2});
+    (void)cluster.serve(batch, threads);
+    (void)cluster.serve(batch, threads);
+    EXPECT_EQ(cluster.metrics().serve_calls, 2u);
+    EXPECT_EQ(cluster.metrics().batch_requests.total(), 2u);
+    EXPECT_EQ(cluster.metrics().batch_requests.sum(), 2 * batch.size());
+    return cluster.metrics().work_digest();
+  };
+  // The work digest — which excludes the serve-latency histogram — is
+  // byte-stable across thread counts and fresh runs.
+  const auto d1 = run_digest(1);
+  EXPECT_EQ(run_digest(2), d1);
+  EXPECT_EQ(run_digest(8), d1);
+
+  // The rendered METRICS schema carries the digest and both histograms.
+  ShardedCluster cluster(result.spanner, mult, add, {.shards = 2});
+  (void)cluster.serve(batch, 1);
+  const auto fields = serve::cluster_metrics_fields(cluster);
+  bool saw_calls = false, saw_batch = false, saw_digest = false,
+       saw_latency = false;
+  for (const auto& [key, value] : fields) {
+    saw_calls |= key == "serve_calls";
+    saw_batch |= key == "batch_requests_le";
+    saw_digest |= key == "metrics_digest";
+    saw_latency |= key == "serve_latency_ms_le";
+  }
+  EXPECT_TRUE(saw_calls);
+  EXPECT_TRUE(saw_batch);
+  EXPECT_TRUE(saw_digest);
+  EXPECT_TRUE(saw_latency);
 }
 
 TEST(ShardedCluster, ZeroBudgetShardsStillAnswerIdentically) {

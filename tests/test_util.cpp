@@ -3,10 +3,12 @@
 
 #include <atomic>
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <thread>
 #include <numeric>
 #include <set>
@@ -190,6 +192,49 @@ TEST(Flags, BadNumericValueNamesFlagAndValue) {
   EXPECT_THROW((void)Flags::parse_integer("n", ""), std::invalid_argument);
   EXPECT_EQ(Flags::parse_integer("n", "-7"), -7);
   EXPECT_DOUBLE_EQ(Flags::parse_real("eps", "2.5e-1"), 0.25);
+}
+
+TEST(Flags, InRangeAcceptsBothBounds) {
+  const auto int64_max = std::numeric_limits<std::int64_t>::max();
+  EXPECT_EQ(Flags::in_range<std::uint16_t>("port", 0), 0u);
+  EXPECT_EQ(Flags::in_range<std::uint16_t>("port", 65535), 65535u);
+  EXPECT_EQ(Flags::in_range<unsigned>("shards", 1, 1), 1u);
+  EXPECT_EQ(Flags::in_range<unsigned>("shards", 4294967295, 1), 4294967295u);
+  EXPECT_EQ(Flags::in_range<std::uint64_t>("cache-budget", int64_max),
+            static_cast<std::uint64_t>(int64_max));
+  EXPECT_EQ(Flags::in_range<int>("level", -3, -3, 7), -3);
+  EXPECT_EQ(Flags::in_range<int>("level", 7, -3, 7), 7);
+}
+
+TEST(Flags, InRangeRejectsValuesOutsideTheRange) {
+  // Above the narrow type's range: these used to wrap silently (70000 ->
+  // port 4464, 2^32 + 1 -> 1 shard).
+  EXPECT_THROW((void)Flags::in_range<std::uint16_t>("port", 70000),
+               std::invalid_argument);
+  EXPECT_THROW((void)Flags::in_range<unsigned>("shards", 4294967297, 1),
+               std::invalid_argument);
+  EXPECT_THROW((void)Flags::in_range<int>("level", 8, -3, 7),
+               std::invalid_argument);
+  // Below the range: a negative count, and explicit lower bounds.
+  EXPECT_THROW((void)Flags::in_range<std::uint64_t>("queries", -1),
+               std::invalid_argument);
+  EXPECT_THROW((void)Flags::in_range<unsigned>("shards", 0, 1),
+               std::invalid_argument);
+  EXPECT_THROW((void)Flags::in_range<int>("level", -4, -3, 7),
+               std::invalid_argument);
+  // The error names the flag, its range, and the rejected value.
+  try {
+    (void)Flags::in_range<std::uint16_t>("port", 70000);
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "flag --port must be in [0, 65535], got 70000");
+  }
+  try {
+    (void)Flags::in_range<unsigned>("shards", 0, 1);
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "flag --shards must be in [1, 4294967295], got 0");
+  }
 }
 
 TEST(Flags, HelpListsRegisteredFlagsWithDefaults) {

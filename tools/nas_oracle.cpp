@@ -70,20 +70,12 @@ int main(int argc, char** argv) {
 
     // Serving configuration.  Negative values would wrap to huge unsigned
     // ones (an accidentally unbounded cache), so they are rejected here.
-    const auto non_negative = [&](const char* name, std::int64_t fallback,
-                                  const char* desc) {
-      const auto parsed = flags.integer(name, fallback, desc);
-      if (parsed < 0) {
-        throw std::invalid_argument(std::string("flag --") + name +
-                                    " must be non-negative, got " +
-                                    std::to_string(parsed));
-      }
-      return parsed;
-    };
-    const auto cache_budget = static_cast<std::uint64_t>(non_negative(
-        "cache-budget", 64 << 20, "source-cache budget in bytes, 0 = off"));
-    const auto query_threads = static_cast<unsigned>(non_negative(
-        "query-threads", 1, "batch-query shards, 0 = all cores"));
+    const auto cache_budget = util::Flags::in_range<std::uint64_t>(
+        "cache-budget", flags.integer("cache-budget", 64 << 20,
+                                      "source-cache budget in bytes, 0 = off"));
+    const auto query_threads = util::Flags::in_range<unsigned>(
+        "query-threads", flags.integer("query-threads", 1,
+                                       "batch-query shards, 0 = all cores"));
     const std::string bfs_kernel_name = flags.str(
         "bfs-kernel", "auto",
         "BFS traversal kernel: topdown|hybrid|auto (answers are "
@@ -94,8 +86,8 @@ int main(int argc, char** argv) {
         flags.str("query-file", "", "answer 'u v' request lines from this file");
     const std::string workload = flags.str(
         "workload", "", "generate requests: uniform|zipf (empty = none)");
-    const auto num_queries = static_cast<std::uint64_t>(
-        non_negative("queries", 1000, "generated requests"));
+    const auto num_queries = util::Flags::in_range<std::uint64_t>(
+        "queries", flags.integer("queries", 1000, "generated requests"));
     const auto workload_seed = static_cast<std::uint64_t>(
         flags.integer("workload-seed", 1, "request-generator seed"));
     const double zipf_theta =

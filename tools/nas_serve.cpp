@@ -10,8 +10,8 @@
 //   ./nas_serve --family er --n 2000 --eps 0.25 --shards 8 --partition hash
 //               --workload zipf --queries 20000 --answers out.txt
 //
-//   # warm every shard from a NAS-ORACLE snapshot (one path = replicated;
-//   # a comma list = one snapshot per shard)
+//   # warm every shard from a NAS-ORACLE snapshot (one path is shared by
+//   # every shard; a comma list = one snapshot per shard)
 //   ./nas_serve --load oracle.naso --shards 8 --workload zipf --queries 20000
 //
 //   # answer an explicit query file ("u v" lines, '#' comments)
@@ -21,17 +21,15 @@
 // same format nas_oracle writes — and is byte-identical at every --shards,
 // --partition, --threads, --cache-budget, and --bfs-kernel value.  CI's
 // serving-cluster gate cmp's it against the nas_oracle output for the same
-// workload.
+// workload.  The cluster flags (tools/cluster_flags.hpp) are the same as
+// nas_served's.
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "apps/query_workload.hpp"
-#include "apps/snapshot.hpp"
-#include "core/params.hpp"
-#include "graph/generators.hpp"
-#include "graph/io.hpp"
+#include "cluster_flags.hpp"
 #include "run/scenario.hpp"
 #include "serve/cluster.hpp"
 #include "util/flags.hpp"
@@ -43,76 +41,15 @@ using namespace nas;
 int main(int argc, char** argv) {
   try {
     util::Flags flags(argc, argv);
-
-    // Cluster source: snapshot path(s), or a graph + schedule to build from.
-    const std::string load_spec = flags.str(
-        "load", "",
-        "warm shards from snapshot path(s): one path replicates, a comma "
-        "list is one snapshot per shard");
-    const std::string family = flags.str(
-        "family", "er", "graph family (or file:<path> for an edge list)");
-    const auto n = static_cast<graph::Vertex>(
-        flags.integer("n", 1024, "target vertex count (generated families)"));
-    const auto seed = static_cast<std::uint64_t>(
-        flags.integer("seed", 1, "graph generator seed"));
-    const double eps = flags.real("eps", 0.25, "schedule epsilon");
-    const int kappa =
-        static_cast<int>(flags.integer("kappa", 3, "schedule kappa"));
-    const double rho = flags.real("rho", 0.4, "schedule rho");
-    const std::string mode =
-        flags.str("mode", "practical", "schedule mode: practical|paper");
-
-    const auto non_negative = [&](const char* name, std::int64_t fallback,
-                                  const char* desc) {
-      const auto parsed = flags.integer(name, fallback, desc);
-      if (parsed < 0) {
-        throw std::invalid_argument(std::string("flag --") + name +
-                                    " must be non-negative, got " +
-                                    std::to_string(parsed));
-      }
-      return parsed;
-    };
-    const auto shards = static_cast<unsigned>(
-        non_negative("shards", 1, "serving shards (>= 1)"));
-    // Fail fast: the Partitioner would reject 0 too, but only after the
-    // whole spanner build or snapshot load already ran.
-    if (shards == 0 && !flags.help_requested()) {
-      throw std::invalid_argument("flag --shards must be >= 1, got 0");
-    }
-    const std::string partition =
-        flags.str("partition", "hash", "vertex partitioner: hash|range");
-    const auto replicas = static_cast<unsigned>(
-        non_negative("replicas", 1, "replicas per shard (>= 1)"));
-    if (replicas == 0 && !flags.help_requested()) {
-      throw std::invalid_argument("flag --replicas must be >= 1, got 0");
-    }
-    const std::string route = flags.str(
-        "route", "round-robin",
-        "replica routing policy: round-robin|least-loaded|deterministic "
-        "(answers are byte-identical for every choice)");
-    const auto replica_queue_depth = static_cast<std::uint64_t>(non_negative(
-        "replica-queue-depth", 0,
-        "per-replica admission cap before shedding to the group, 0 = off"));
-    const std::string snapshot_format_guard = flags.str(
-        "snapshot-format", "auto",
-        "require --load snapshots to be this format: auto|v1|v2 (auto "
-        "accepts either; a mismatch is an error before any load runs)");
-    const auto cache_budget = static_cast<std::uint64_t>(non_negative(
-        "cache-budget", 64 << 20, "per-shard cache budget in bytes, 0 = off"));
-    const auto threads = static_cast<unsigned>(non_negative(
-        "threads", 1, "shard-execution pool slots, 0 = all cores"));
-    const std::string bfs_kernel_name = flags.str(
-        "bfs-kernel", "auto",
-        "BFS traversal kernel for every shard: topdown|hybrid|auto (answers "
-        "are byte-identical for every choice)");
+    const tools::ClusterFlags cluster_flags(flags);
 
     // Requests: an explicit file, or a generated workload.
     const std::string query_file = flags.str(
         "query-file", "", "answer 'u v' request lines from this file");
     const std::string workload = flags.str(
         "workload", "", "generate requests: uniform|zipf (empty = none)");
-    const auto num_queries = static_cast<std::uint64_t>(
-        non_negative("queries", 1000, "generated requests"));
+    const auto num_queries = util::Flags::in_range<std::uint64_t>(
+        "queries", flags.integer("queries", 1000, "generated requests"));
     const auto workload_seed = static_cast<std::uint64_t>(
         flags.integer("workload-seed", 1, "request-generator seed"));
     const double zipf_theta =
@@ -129,59 +66,13 @@ int main(int argc, char** argv) {
       return 0;
     }
     flags.reject_unknown();
-    if (snapshot_format_guard != "auto" && snapshot_format_guard != "v1" &&
-        snapshot_format_guard != "v2") {
-      throw std::invalid_argument(
-          "flag --snapshot-format must be auto|v1|v2, got \"" +
-          snapshot_format_guard + "\"");
-    }
-    if (snapshot_format_guard != "auto" && !load_spec.empty()) {
-      // Deployment guard: a cluster pinned to one encoding refuses to warm
-      // from the other, before any shard loads (cheap magic-byte sniff).
-      const auto want = apps::parse_snapshot_format(snapshot_format_guard);
-      for (const auto& path : run::split_list(load_spec)) {
-        const auto have = apps::detect_snapshot_format(path);
-        if (have != want) {
-          throw std::runtime_error(
-              std::string("snapshot ") + path + " is " +
-              apps::snapshot_format_name(have) + " but --snapshot-format " +
-              snapshot_format_guard + " was requested");
-        }
-      }
-    }
 
-    const serve::ClusterOptions cluster_options{
-        .shards = shards,
-        .partition = partition,
-        .replicas = replicas,
-        .route = route,
-        .replica_queue_depth = replica_queue_depth,
-        .shard_cache_budget_bytes = cache_budget,
-        .bfs_kernel = graph::parse_bfs_kernel(bfs_kernel_name)};
     util::Timer build_timer;
-    serve::ShardedCluster cluster = [&] {
-      if (!load_spec.empty()) {
-        return serve::ShardedCluster::from_snapshot_files(
-            run::split_list(load_spec), cluster_options);
-      }
-      const graph::Graph g = family.rfind("file:", 0) == 0
-                                 ? graph::read_edge_list_file(family.substr(5))
-                                 : graph::make_workload(family, n, seed);
-      const auto params =
-          mode == "paper"
-              ? core::Params::paper(g.num_vertices(), eps, kappa, rho)
-              : core::Params::practical(g.num_vertices(), eps, kappa, rho);
-      const auto result = core::build_spanner(g, params, {.validate = false});
-      return serve::ShardedCluster(result.spanner,
-                                   params.stretch_multiplicative(),
-                                   params.stretch_additive(), cluster_options);
-    }();
+    serve::ShardedCluster cluster = cluster_flags.make_cluster();
     const double build_ms = build_timer.millis();
     std::cerr << "cluster: " << cluster.num_shards() << " shards ("
               << cluster.partitioner().name() << " partition), "
-              << cluster.num_replicas() << " replicas/shard ("
-              << serve::route_policy_name(cluster.route_policy())
-              << " routing), " << cluster.shard(0).summary() << " per shard, "
+              << cluster.shard(0).summary() << " per shard, "
               << "guarantee d_H <= " << cluster.multiplicative() << "*d_G + "
               << cluster.additive() << ", cache capacity "
               << cluster.shard(0).cache_capacity() << " sources/shard\n";
@@ -199,7 +90,7 @@ int main(int argc, char** argv) {
     std::vector<std::uint32_t> answers;
     util::Timer serve_timer;
     if (!queries.empty()) {
-      answers = cluster.serve(queries, threads, &stats);
+      answers = cluster.serve(queries, cluster_flags.threads(), &stats);
     }
     const double serve_ms = serve_timer.millis();
 

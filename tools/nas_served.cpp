@@ -6,7 +6,7 @@
 //   Q <u> <v>   ->  "<u> <v> <d>"        (one line, nas_oracle byte format)
 //   BATCH <n>   +   n "<u> <v>" lines -> n answer lines in request order
 //   STATS       ->  one cluster+server stats JSON line
-//   METRICS     ->  one metrics JSON line (histograms, replica counters)
+//   METRICS     ->  one metrics JSON line (work histograms, metrics digest)
 //   QUIT        ->  "BYE", then the connection closes
 //
 //   # build from a generated graph and serve on an ephemeral port
@@ -24,22 +24,19 @@
 // the process exits 0.  A second signal exits immediately.
 //
 // Answer lines are byte-identical to nas_oracle/nas_serve for the same
-// requests at every --shards/--partition/--replicas/--route/--threads/
-// --bfs-kernel value — CI's serving gate replays a workload through
-// bench/serve_latency and cmp's the transcript against the nas_oracle
-// answers file, at several replica counts and routing policies.
+// requests at every --shards/--partition/--threads/--bfs-kernel value — CI's
+// serving gate replays a workload through bench/serve_latency and cmp's the
+// transcript against the nas_oracle answers file, at several shard counts
+// and BFS kernels.  The cluster flags (tools/cluster_flags.hpp) are the same
+// as nas_serve's.
 #include <atomic>
 #include <csignal>
 #include <fstream>
 #include <iostream>
 #include <string>
 
-#include "apps/snapshot.hpp"
-#include "core/params.hpp"
-#include "graph/generators.hpp"
-#include "graph/io.hpp"
+#include "cluster_flags.hpp"
 #include "net/server.hpp"
-#include "run/scenario.hpp"
 #include "serve/cluster.hpp"
 #include "util/flags.hpp"
 #include "util/json.hpp"
@@ -72,86 +69,38 @@ int main(int argc, char** argv) {
   try {
     util::Flags flags(argc, argv);
 
-    // Cluster source: snapshot path(s), or a graph + schedule to build from
-    // (same flags as nas_serve).
-    const std::string load_spec = flags.str(
-        "load", "",
-        "warm shards from snapshot path(s): one path replicates, a comma "
-        "list is one snapshot per shard");
-    const std::string family = flags.str(
-        "family", "er", "graph family (or file:<path> for an edge list)");
-    const auto n = static_cast<graph::Vertex>(
-        flags.integer("n", 1024, "target vertex count (generated families)"));
-    const auto seed = static_cast<std::uint64_t>(
-        flags.integer("seed", 1, "graph generator seed"));
-    const double eps = flags.real("eps", 0.25, "schedule epsilon");
-    const int kappa =
-        static_cast<int>(flags.integer("kappa", 3, "schedule kappa"));
-    const double rho = flags.real("rho", 0.4, "schedule rho");
-    const std::string mode =
-        flags.str("mode", "practical", "schedule mode: practical|paper");
-
-    const auto non_negative = [&](const char* name, std::int64_t fallback,
-                                  const char* desc) {
-      const auto parsed = flags.integer(name, fallback, desc);
-      if (parsed < 0) {
-        throw std::invalid_argument(std::string("flag --") + name +
-                                    " must be non-negative, got " +
-                                    std::to_string(parsed));
-      }
-      return parsed;
-    };
-    const auto shards = static_cast<unsigned>(
-        non_negative("shards", 1, "serving shards (>= 1)"));
-    if (shards == 0 && !flags.help_requested()) {
-      throw std::invalid_argument("flag --shards must be >= 1, got 0");
-    }
-    const std::string partition =
-        flags.str("partition", "hash", "vertex partitioner: hash|range");
-    const auto replicas = static_cast<unsigned>(
-        non_negative("replicas", 1, "replicas per shard (>= 1)"));
-    if (replicas == 0 && !flags.help_requested()) {
-      throw std::invalid_argument("flag --replicas must be >= 1, got 0");
-    }
-    const std::string route = flags.str(
-        "route", "round-robin",
-        "replica routing policy: round-robin|least-loaded|deterministic "
-        "(answers are byte-identical for every choice)");
-    const auto replica_queue_depth = static_cast<std::uint64_t>(non_negative(
-        "replica-queue-depth", 0,
-        "per-replica admission cap before shedding to the group, 0 = off"));
-    const std::string snapshot_format_guard = flags.str(
-        "snapshot-format", "auto",
-        "require --load snapshots to be this format: auto|v1|v2 (auto "
-        "accepts either; a mismatch is an error before any load runs)");
-    const auto cache_budget = static_cast<std::uint64_t>(non_negative(
-        "cache-budget", 64 << 20, "per-shard cache budget in bytes, 0 = off"));
-    const auto threads = static_cast<unsigned>(non_negative(
-        "threads", 1, "shard-execution pool slots per batch, 0 = all cores"));
-    const std::string bfs_kernel_name = flags.str(
-        "bfs-kernel", "auto",
-        "BFS traversal kernel for every shard: topdown|hybrid|auto (answers "
-        "are byte-identical for every choice)");
+    // Cluster source and shape: the same flags as nas_serve.
+    const tools::ClusterFlags cluster_flags(flags);
 
     // Daemon flags.
     const std::string listen =
         flags.str("listen", "127.0.0.1", "IPv4 address to bind");
-    const auto port = static_cast<std::uint16_t>(
-        non_negative("port", 0, "TCP port, 0 = kernel-assigned ephemeral"));
+    const auto port = util::Flags::in_range<std::uint16_t>(
+        "port",
+        flags.integer("port", 0, "TCP port, 0 = kernel-assigned ephemeral"));
     const std::string port_file = flags.str(
         "port-file", "",
         "write the bound port number to this file once listening");
-    const auto max_conns = static_cast<std::size_t>(non_negative(
-        "max-conns", 256, "concurrent connections before \"ERR server busy\""));
-    const auto idle_timeout_ms = static_cast<std::uint64_t>(non_negative(
-        "idle-timeout-ms", 60000, "close connections idle this long, 0 = off"));
-    const auto max_batch = static_cast<std::uint64_t>(
-        non_negative("max-batch", 1 << 16, "largest accepted BATCH count"));
-    const auto queue_depth = static_cast<std::size_t>(non_negative(
-        "queue-depth", 64, "bridge jobs buffered before backpressure"));
-    const auto drain_timeout_ms = static_cast<std::uint64_t>(non_negative(
-        "drain-timeout-ms", 5000,
-        "graceful-shutdown bound for flushing in-flight batches"));
+    const auto max_conns = util::Flags::in_range<std::size_t>(
+        "max-conns",
+        flags.integer("max-conns", 256,
+                      "concurrent connections before \"ERR server busy\""));
+    const auto idle_timeout_ms = util::Flags::in_range<std::uint64_t>(
+        "idle-timeout-ms",
+        flags.integer("idle-timeout-ms", 60000,
+                      "close connections idle this long, 0 = off"));
+    const auto max_batch = util::Flags::in_range<std::uint64_t>(
+        "max-batch",
+        flags.integer("max-batch", 1 << 16, "largest accepted BATCH count"));
+    const auto queue_depth = util::Flags::in_range<std::size_t>(
+        "queue-depth",
+        flags.integer("queue-depth", 64,
+                      "bridge jobs buffered before backpressure"));
+    const auto drain_timeout_ms = util::Flags::in_range<std::uint64_t>(
+        "drain-timeout-ms",
+        flags.integer(
+            "drain-timeout-ms", 5000,
+            "graceful-shutdown bound for flushing in-flight batches"));
     const std::string stats_path = flags.str(
         "stats-json", "",
         "write final cluster + server stats JSON here on clean shutdown");
@@ -162,55 +111,11 @@ int main(int argc, char** argv) {
       return 0;
     }
     flags.reject_unknown();
-    if (snapshot_format_guard != "auto" && snapshot_format_guard != "v1" &&
-        snapshot_format_guard != "v2") {
-      throw std::invalid_argument(
-          "flag --snapshot-format must be auto|v1|v2, got \"" +
-          snapshot_format_guard + "\"");
-    }
-    if (snapshot_format_guard != "auto" && !load_spec.empty()) {
-      const auto want = apps::parse_snapshot_format(snapshot_format_guard);
-      for (const auto& path : run::split_list(load_spec)) {
-        const auto have = apps::detect_snapshot_format(path);
-        if (have != want) {
-          throw std::runtime_error(
-              std::string("snapshot ") + path + " is " +
-              apps::snapshot_format_name(have) + " but --snapshot-format " +
-              snapshot_format_guard + " was requested");
-        }
-      }
-    }
 
-    const serve::ClusterOptions cluster_options{
-        .shards = shards,
-        .partition = partition,
-        .replicas = replicas,
-        .route = route,
-        .replica_queue_depth = replica_queue_depth,
-        .shard_cache_budget_bytes = cache_budget,
-        .bfs_kernel = graph::parse_bfs_kernel(bfs_kernel_name)};
-    serve::ShardedCluster cluster = [&] {
-      if (!load_spec.empty()) {
-        return serve::ShardedCluster::from_snapshot_files(
-            run::split_list(load_spec), cluster_options);
-      }
-      const graph::Graph g = family.rfind("file:", 0) == 0
-                                 ? graph::read_edge_list_file(family.substr(5))
-                                 : graph::make_workload(family, n, seed);
-      const auto params =
-          mode == "paper"
-              ? core::Params::paper(g.num_vertices(), eps, kappa, rho)
-              : core::Params::practical(g.num_vertices(), eps, kappa, rho);
-      const auto result = core::build_spanner(g, params, {.validate = false});
-      return serve::ShardedCluster(result.spanner,
-                                   params.stretch_multiplicative(),
-                                   params.stretch_additive(), cluster_options);
-    }();
+    serve::ShardedCluster cluster = cluster_flags.make_cluster();
     std::cerr << "cluster: " << cluster.num_shards() << " shards ("
               << cluster.partitioner().name() << " partition), "
-              << cluster.num_replicas() << " replicas/shard ("
-              << serve::route_policy_name(cluster.route_policy())
-              << " routing), " << cluster.shard(0).summary() << " per shard\n";
+              << cluster.shard(0).summary() << " per shard\n";
 
     net::ServerOptions server_options;
     server_options.listen = listen;
@@ -219,7 +124,7 @@ int main(int argc, char** argv) {
     server_options.idle_timeout_ms = idle_timeout_ms;
     server_options.max_batch = max_batch;
     server_options.queue_depth = queue_depth;
-    server_options.serve_threads = threads;
+    server_options.serve_threads = cluster_flags.threads();
     server_options.drain_timeout_ms = drain_timeout_ms;
 
     net::Server server(cluster, server_options);
