@@ -7,7 +7,7 @@
 
 #include <cmath>
 
-#include "congest/parallel.hpp"
+#include "congest/engine.hpp"
 #include "congest/protocols.hpp"
 #include "core/elkin_matar.hpp"
 #include "core/popular.hpp"
@@ -53,13 +53,11 @@ void BM_CongestEngineBroadcast(benchmark::State& state) {
 }
 BENCHMARK(BM_CongestEngineBroadcast)->Arg(512)->Arg(2048);
 
-// Serial vs. multi-threaded round engine on an all-to-all flood program
-// (every vertex re-broadcasts every round): the worst-case message volume
-// the spanner protocols generate.  Arg pair: (n, threads); threads == 0 is
-// the serial engine.
+// The round engine on an all-to-all flood program (every vertex
+// re-broadcasts every round): the worst-case message volume the spanner
+// protocols generate.
 void BM_RoundEngineFlood(benchmark::State& state) {
   const auto g = graph::make_workload("er", static_cast<graph::Vertex>(state.range(0)), 1);
-  const auto threads = static_cast<unsigned>(state.range(1));
   std::vector<std::uint64_t> value(g.num_vertices(), 1);
   const auto program = [&](graph::Vertex v, std::uint64_t,
                            std::span<const congest::Message> inbox,
@@ -68,26 +66,15 @@ void BM_RoundEngineFlood(benchmark::State& state) {
     for (graph::Vertex u : g.neighbors(v)) mbox.send(u, {.a = value[v] & 0xff});
   };
   for (auto _ : state) {
-    std::uint64_t sent = 0;
-    if (threads == 0) {
-      congest::Engine engine(g);
-      engine.run_rounds(8, program);
-      sent = engine.messages_sent();
-    } else {
-      congest::ParallelEngine engine(g, {.threads = threads});
-      engine.run_rounds(8, program);
-      sent = engine.messages_sent();
-    }
-    benchmark::DoNotOptimize(sent);
+    congest::Engine engine(g);
+    engine.run_rounds(8, program);
+    benchmark::DoNotOptimize(engine.messages_sent());
   }
   state.SetItemsProcessed(state.iterations() * 8 * 2 * g.num_edges());
 }
 BENCHMARK(BM_RoundEngineFlood)
-    ->Args({4096, 0})
-    ->Args({4096, 2})
-    ->Args({4096, 8})
-    ->Args({16384, 0})
-    ->Args({16384, 8})
+    ->Arg(4096)
+    ->Arg(16384)
     ->Unit(benchmark::kMillisecond);
 
 void BM_Algorithm1(benchmark::State& state) {

@@ -37,15 +37,8 @@ int main(int argc, char** argv) {
       flags.str("csv", "", "unified CSV rows output path");
   const std::string json_path =
       flags.str("json", "", "unified JSON rows output path");
-  // Substrate selection for the engine-backed Algorithm 1 cross-check:
-  // --crosscheck re-simulates every phase round-by-round, so large-n runs
-  // should pick --substrate parallel (optionally --threads N).
   matrix.crosscheck = flags.boolean(
       "crosscheck", false, "re-simulate Algorithm 1 on the round engine");
-  matrix.substrate = flags.str("substrate", "serial",
-                               "cross-check substrate: serial|parallel|alpha");
-  matrix.build_threads = static_cast<unsigned>(
-      flags.integer("threads", 0, "parallel-substrate workers, 0 = all"));
   matrix.verify_sources = static_cast<std::uint32_t>(
       flags.integer("verify", 0, "sampled verification sources (0 = off)"));
   matrix.verify_mode = matrix.verify_sources > 0 ? "sampled" : "off";
@@ -64,7 +57,7 @@ int main(int argc, char** argv) {
   bench::banner("S1", "round complexity scaling: rounds vs n");
   std::cout << "family=" << family << " eps=" << eps << " kappa=" << kappa
             << " rho=" << rho;
-  if (matrix.crosscheck) std::cout << " crosscheck=" << matrix.substrate;
+  if (matrix.crosscheck) std::cout << " crosscheck";
   std::cout << "\n\n";
 
   run::Runner runner;

@@ -38,12 +38,6 @@ int main(int argc, char** argv) {
       flags.str("csv", "", "unified CSV rows output path");
   const std::string json_path =
       flags.str("json", "", "unified JSON rows output path");
-  // Substrate selection for the engine-backed Algorithm 1 cross-check; see
-  // scaling_rounds.cpp.  Large-n cross-checked runs want --substrate parallel.
-  matrix.substrate = flags.str("substrate", "serial",
-                               "cross-check substrate: serial|parallel|alpha");
-  matrix.build_threads = static_cast<unsigned>(
-      flags.integer("threads", 0, "parallel-substrate workers, 0 = all"));
   matrix.crosscheck = flags.boolean(
       "crosscheck", false, "re-simulate Algorithm 1 on the round engine");
   matrix.verify_sources = static_cast<std::uint32_t>(

@@ -320,9 +320,7 @@ std::optional<core::Params> rebuild_snapshot_params(
   // rho outside [1/kappa, 1/2), ...) throw from the Params factories; keep
   // the snapshot error contract by naming where they came from.
   try {
-    params = mode == "paper"
-                 ? core::Params::paper(n, eps, kappa, rho, n_estimate)
-                 : core::Params::practical(n, eps, kappa, rho, n_estimate);
+    params = core::Params::from_mode(mode, n, eps, kappa, rho, n_estimate);
   } catch (const std::exception& e) {
     throw std::runtime_error("oracle snapshot: invalid params at " + where +
                              ": " + e.what());

@@ -3,7 +3,7 @@
 // Spanners entered distributed computing through synchronizers ([Awe85],
 // [PU87] — the first two citations of the paper): structures that let a
 // synchronous algorithm run on an asynchronous network.  This module
-// provides the asynchronous substrate:
+// provides both halves:
 //
 //  * `AsyncEngine` — discrete-event simulator: every sent message is
 //    delivered after an adversarially-seeded delay in [1, max_delay];
@@ -19,8 +19,8 @@
 //
 // Executing a synchronous program through the synchronizer must produce
 // bit-identical results to the synchronous engine; the test suite asserts
-// this for BFS and flood programs, which is also a strong cross-check of
-// both engines.
+// this for BFS, min-ID flood and mixer programs, which is also a strong
+// cross-check of both engines.
 #pragma once
 
 #include <cstdint>

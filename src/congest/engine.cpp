@@ -73,13 +73,25 @@ void Engine::begin_run() {
 void Engine::do_round(std::uint64_t round, const NodeProgram& program) {
   current_round_ = round;
   RoundMailbox mbox(*this);
-  for (Vertex v = 0; v < g_->num_vertices(); ++v) {
-    // Deterministic delivery order: by sender ID.
-    auto& in = inbox_[v];
-    std::sort(in.begin(), in.end(),
-              [](const Message& x, const Message& y) { return x.src < y.src; });
-    mbox.from_ = v;
-    program(v, round, std::span<const Message>(in.data(), in.size()), mbox);
+  try {
+    for (Vertex v = 0; v < g_->num_vertices(); ++v) {
+      // Deterministic delivery order: by sender ID.
+      auto& in = inbox_[v];
+      std::sort(in.begin(), in.end(), [](const Message& x, const Message& y) {
+        return x.src < y.src;
+      });
+      mbox.from_ = v;
+      program(v, round, std::span<const Message>(in.data(), in.size()), mbox);
+    }
+  } catch (...) {
+    // A failed round leaves nothing in flight: neither what it was
+    // delivering nor what it had staged reaches the next run.
+    for (Vertex v = 0; v < g_->num_vertices(); ++v) {
+      inbox_[v].clear();
+      next_inbox_[v].clear();
+    }
+    pending_count_ = 0;
+    throw;
   }
   pending_count_ = 0;
   for (Vertex v = 0; v < g_->num_vertices(); ++v) {

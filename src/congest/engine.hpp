@@ -10,14 +10,17 @@
 //   * message payloads are at most `Message::kWords` machine words = O(1)
 //     words = O(log n) bits, as the model requires.
 //
-// This engine favors clarity over speed; the intricate spanner protocols in
-// src/core use event-driven executions for performance and are cross-checked
-// against engine-based references in the test suite.
+// This engine favors clarity over speed; it is the one reference execution.
+// The intricate spanner protocols in src/core use event-driven executions
+// for performance and are cross-checked against it (the test suite, and
+// core::BuildOptions::cross_check_alg1).
+//
+// Messages sent in a run's last round are delivered in round 0 of the next
+// run on the same engine.  A run that throws leaves nothing in flight.
 //
 // `Mailbox` is an abstract sending surface so the same NodeProgram can also
-// be executed by other substrates — in particular the α-synchronizer over
-// the asynchronous engine (congest/async.hpp), which must produce
-// bit-identical program state.
+// run under synchronizer α over the asynchronous engine (congest/async.hpp),
+// which must produce bit-identical program state.
 #pragma once
 
 #include <cstdint>

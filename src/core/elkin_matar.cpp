@@ -57,16 +57,13 @@ void check_ruling_contract(const Graph& g, const std::vector<Vertex>& w,
 }
 
 /// BuildOptions::cross_check_alg1: the event-driven Algorithm 1 must match
-/// an exact engine-backed reference execution bit-for-bit, on whichever
-/// substrate the caller selected.  The reference is verification work, so it
-/// is not charged to the run's ledger.
+/// the exact engine-backed reference execution bit-for-bit.  The reference
+/// is verification work, so it is not charged to the run's ledger.
 void check_alg1_reference(const Graph& g, const std::vector<Vertex>& centers,
                           std::uint64_t delta, std::uint64_t cap,
-                          const Algorithm1Result& fast,
-                          const congest::SubstrateOptions& substrate,
-                          int phase) {
+                          const Algorithm1Result& fast, int phase) {
   const Algorithm1Result exact =
-      run_algorithm1_exact(g, centers, delta, cap, nullptr, substrate);
+      run_algorithm1_exact(g, centers, delta, cap, nullptr);
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
     bool ok = fast.knowledge[v].size() == exact.knowledge[v].size() &&
               fast.popular[v] == exact.popular[v];
@@ -78,8 +75,7 @@ void check_alg1_reference(const Graph& g, const std::vector<Vertex>& centers,
     if (!ok) {
       throw std::logic_error(
           "Algorithm 1 cross-check failed in phase " + std::to_string(phase) +
-          " at vertex " + std::to_string(v) + " (substrate " +
-          std::string(congest::substrate_name(substrate.substrate)) + ")");
+          " at vertex " + std::to_string(v));
     }
   }
 }
@@ -131,8 +127,9 @@ SpannerResult build_spanner(const Graph& g, const Params& params,
 
     // Concluding phase: the knowledge cap must cover every center, so that
     // Lemma 2.14 (complete interconnection) holds even when rounding makes
-    // |P_ell| exceed n^rho (see DESIGN.md deviation #3).  The centers can
-    // compute |P_ell| with one O(diameter)-round aggregation, charged here.
+    // |P_ell| exceed n^rho (see README, "Deviations from the paper").  The
+    // centers can compute |P_ell| with one O(diameter)-round aggregation,
+    // charged here.
     std::uint64_t cap = sched.deg;
     if (sched.concluding) {
       cap = std::max<std::uint64_t>(cap, centers.size());
@@ -151,8 +148,7 @@ SpannerResult build_spanner(const Graph& g, const Params& params,
     pt.rounds_alg1 = alg1.rounds_charged;
 
     if (options.cross_check_alg1) {
-      check_alg1_reference(g, centers, sched.delta, cap, alg1,
-                           options.substrate, i);
+      check_alg1_reference(g, centers, sched.delta, cap, alg1, i);
     }
 
     std::vector<Vertex> popular;

@@ -12,7 +12,6 @@
 #include <cstdint>
 
 #include "congest/ledger.hpp"
-#include "congest/substrate.hpp"
 #include "core/cluster.hpp"
 #include "core/params.hpp"
 #include "core/trace.hpp"
@@ -27,17 +26,11 @@ struct BuildOptions {
   /// large-scale benches.
   bool validate = true;
 
-  /// Re-run each phase's Algorithm 1 on an exact round engine and require
-  /// the event-driven result to match bit-for-bit (knowledge lists and
-  /// popularity).  Mismatches throw std::logic_error.  Expensive — the
-  /// reference simulates every round — so large-n runs should select the
-  /// parallel substrate below.
+  /// Re-run each phase's Algorithm 1 on the exact round engine
+  /// (congest::Engine) and require the event-driven result to match
+  /// bit-for-bit (knowledge lists and popularity).  Mismatches throw
+  /// std::logic_error.  Expensive: the reference simulates every round.
   bool cross_check_alg1 = false;
-
-  /// Substrate for the engine-backed reference executions: the serial round
-  /// engine (default), the multi-threaded round engine, or synchronizer α
-  /// over the asynchronous engine.  All three are bit-identical.
-  congest::SubstrateOptions substrate{};
 };
 
 struct SpannerResult {

@@ -164,6 +164,20 @@ Params Params::practical(graph::Vertex n, double eps_internal, int kappa,
                n_estimate);
 }
 
+void Params::check_mode(std::string_view mode) {
+  if (mode != "practical" && mode != "paper") {
+    throw std::invalid_argument("mode must be practical|paper, got \"" +
+                                std::string(mode) + "\"");
+  }
+}
+
+Params Params::from_mode(std::string_view mode, graph::Vertex n, double eps,
+                         int kappa, double rho, std::uint64_t n_estimate) {
+  check_mode(mode);
+  return mode == "paper" ? paper(n, eps, kappa, rho, n_estimate)
+                         : practical(n, eps, kappa, rho, n_estimate);
+}
+
 double Params::beta_formula_eq18(double eps_prime, int kappa, double rho) {
   // eq. (18): β = ( O(log κρ + ρ⁻¹) / (ρ ε) )^{log κρ + ρ⁻¹ + O(1)}
   // with the constants instantiated from the derivation: the numerator

@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -79,6 +80,15 @@ class Params {
   /// non-vacuous stretch experiments possible at laptop scale.
   static Params practical(graph::Vertex n, double eps_internal, int kappa,
                           double rho, std::uint64_t n_estimate = 0);
+
+  /// The schedule `mode` names: "practical" or "paper" (which reads `eps`
+  /// as ε′).  Any other name throws std::invalid_argument (see check_mode),
+  /// so a misspelt mode never falls back to the practical schedule.
+  static Params from_mode(std::string_view mode, graph::Vertex n, double eps,
+                          int kappa, double rho, std::uint64_t n_estimate = 0);
+
+  /// Throws std::invalid_argument unless `mode` is "practical" or "paper".
+  static void check_mode(std::string_view mode);
 
   // --- accessors -----------------------------------------------------------
   [[nodiscard]] graph::Vertex n() const { return n_; }

@@ -118,8 +118,7 @@ Algorithm1Result run_algorithm1(const Graph& g,
 Algorithm1Result run_algorithm1_exact(const Graph& g,
                                       const std::vector<Vertex>& sources,
                                       std::uint64_t delta, std::uint64_t cap,
-                                      congest::Ledger* ledger,
-                                      const congest::SubstrateOptions& substrate) {
+                                      congest::Ledger* ledger) {
   validate(g, sources, delta, cap);
   const Vertex n = g.num_vertices();
 
@@ -130,9 +129,8 @@ Algorithm1Result run_algorithm1_exact(const Graph& g,
   std::vector<std::uint8_t> is_source(n, 0);
   for (Vertex s : sources) is_source[s] = 1;
 
-  // Per-vertex state for the round-exact execution.  Everything below is
-  // indexed by the executing vertex and touched by no one else, so the
-  // program is safe on every substrate, including the multi-threaded engine.
+  // Per-vertex state for the round-exact execution, indexed by the
+  // executing vertex.
   // known[v]: origins v has accepted (plus itself for sources).
   std::vector<std::unordered_set<Vertex>> known(n);
   for (Vertex s : sources) known[s].insert(s);
@@ -183,13 +181,12 @@ Algorithm1Result run_algorithm1_exact(const Graph& g,
   };
   // 1 announcement round + delta layers of cap rounds + 1 boundary round to
   // process the final layer's arrivals.
-  const congest::SubstrateRun run =
-      congest::run_on_substrate(g, delta * cap + 2, program, substrate, ledger);
-  res.rounds_charged = run.rounds;
+  congest::Engine engine(g, ledger);
+  res.rounds_charged = engine.run_rounds(delta * cap + 2, program);
   // Flush the final boundary (the engine already ran it as the last round's
   // layer_pos == 0 processing only if (delta*cap+1 - 1) % cap == 0, which it
   // is: round delta*cap+1 begins layer delta+1).
-  res.messages = run.messages;
+  res.messages = engine.messages_sent();
 
   for (Vertex s : sources) {
     res.popular[s] = res.knowledge[s].size() >= cap ? 1 : 0;

@@ -33,8 +33,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "congest/engine.hpp"
 #include "congest/ledger.hpp"
-#include "congest/substrate.hpp"
 #include "graph/graph.hpp"
 
 namespace nas::core {
@@ -66,16 +66,12 @@ struct Algorithm1Result {
     std::uint64_t delta, std::uint64_t cap,
     congest::Ledger* ledger = nullptr);
 
-/// Exact engine-backed reference (δ·cap+2 real simulated rounds); used by
-/// the tests and by build_spanner's cross-check mode.  `substrate` selects
-/// the execution substrate — the serial engine, the multi-threaded engine
-/// (for large n), or the α-synchronizer; the result is bit-identical on all
-/// three.
+/// Exact reference on congest::Engine (δ·cap+2 real simulated rounds); used
+/// by the tests and by build_spanner's cross-check mode.
 [[nodiscard]] Algorithm1Result run_algorithm1_exact(
     const graph::Graph& g, const std::vector<graph::Vertex>& sources,
     std::uint64_t delta, std::uint64_t cap,
-    congest::Ledger* ledger = nullptr,
-    const congest::SubstrateOptions& substrate = {});
+    congest::Ledger* ledger = nullptr);
 
 /// Convenience: looks up `origin` in knowledge[v]; returns nullptr if absent.
 [[nodiscard]] const Knowledge* find_knowledge(

@@ -10,7 +10,6 @@
 #include "apps/distance_oracle.hpp"
 #include "apps/query_workload.hpp"
 #include "baselines/en17.hpp"
-#include "congest/substrate.hpp"
 #include "core/elkin_matar.hpp"
 #include "core/params.hpp"
 #include "graph/bfs_kernel.hpp"
@@ -54,22 +53,15 @@ ResultRow Runner::run_one(const ScenarioSpec& spec, std::size_t index,
     row.n = g->num_vertices();
     row.m = g->num_edges();
 
-    const auto params =
-        spec.mode == "paper"
-            ? core::Params::paper(g->num_vertices(), spec.eps, spec.kappa,
-                                  spec.rho)
-            : core::Params::practical(g->num_vertices(), spec.eps, spec.kappa,
-                                      spec.rho);
+    const auto params = core::Params::from_mode(
+        spec.mode, g->num_vertices(), spec.eps, spec.kappa, spec.rho);
 
     std::shared_ptr<const graph::Graph> spanner;
     util::Timer build_timer;
     if (spec.algo == "em") {
-      core::BuildOptions build_options{.validate = spec.validate};
-      build_options.cross_check_alg1 = spec.crosscheck;
-      build_options.substrate.substrate =
-          congest::parse_substrate(spec.substrate);
-      build_options.substrate.threads = spec.build_threads;
-      auto result = core::build_spanner(*g, params, build_options);
+      auto result = core::build_spanner(
+          *g, params,
+          {.validate = spec.validate, .cross_check_alg1 = spec.crosscheck});
       row.rounds = result.ledger.rounds();
       row.guarantee_mult = params.stretch_multiplicative();
       row.guarantee_add = params.stretch_additive();

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "core/params.hpp"
 #include "graph/bfs_kernel.hpp"
 #include "serve/partition.hpp"
 
@@ -94,8 +95,6 @@ std::vector<ScenarioSpec> ScenarioMatrix::expand() const {
                                 s.kappa = kappa;
                                 s.rho = rho;
                                 s.mode = mode;
-                                s.substrate = substrate;
-                                s.build_threads = build_threads;
                                 s.crosscheck = crosscheck;
                                 s.validate = validate;
                                 s.verify_mode = verify_mode;
@@ -148,9 +147,7 @@ template <typename T, typename Parse>
 std::vector<T> parse_list(const std::string& key, const std::string& value,
                           Parse parse) {
   std::vector<T> out;
-  for (const auto& item : split_list(value)) {
-    out.push_back(static_cast<T>(parse(key, item)));
-  }
+  for (const auto& item : split_list(value)) out.push_back(parse(key, item));
   if (out.empty()) {
     throw std::invalid_argument("scenario key \"" + key +
                                 "\" needs at least one value");
@@ -158,22 +155,22 @@ std::vector<T> parse_list(const std::string& key, const std::string& value,
   return out;
 }
 
+/// An integer value checked into [0, max of T] by Flags::in_range, so that
+/// `n = -5` or `verify-threads = -1` fails instead of wrapping.
+template <typename T>
+T integer(const std::string& key, const std::string& value) {
+  return util::Flags::in_range<T>(key, util::Flags::parse_integer(key, value));
+}
+
+/// A comma list of integer(key, item) values.
+template <typename T>
+std::vector<T> integers(const std::string& key, const std::string& value) {
+  return parse_list<T>(key, value, integer<T>);
+}
+
 }  // namespace
 
 void ScenarioMatrix::set(const std::string& key, const std::string& value) {
-  const auto ints = [&](const std::string& k, const std::string& v) {
-    return util::Flags::parse_integer(k, v);
-  };
-  // Keys stored into unsigned fields where a negative typo would otherwise
-  // wrap to a huge value (an "unbounded" cache from `cache-budget = -4096`).
-  const auto non_negative = [&](const std::string& k, const std::string& v) {
-    const auto parsed = util::Flags::parse_integer(k, v);
-    if (parsed < 0) {
-      throw std::invalid_argument("scenario key \"" + k +
-                                  "\" must be >= 0, got " + v);
-    }
-    return parsed;
-  };
   const auto reals = [&](const std::string& k, const std::string& v) {
     return util::Flags::parse_real(k, v);
   };
@@ -181,32 +178,29 @@ void ScenarioMatrix::set(const std::string& key, const std::string& value) {
     families = parse_list<std::string>(
         key, value, [](const std::string&, const std::string& v) { return v; });
   } else if (key == "n") {
-    ns = parse_list<graph::Vertex>(key, value, ints);
+    ns = integers<graph::Vertex>(key, value);
   } else if (key == "seed") {
-    seeds = parse_list<std::uint64_t>(key, value, ints);
+    seeds = integers<std::uint64_t>(key, value);
   } else if (key == "algo") {
     algos = parse_list<std::string>(
         key, value, [](const std::string&, const std::string& v) { return v; });
   } else if (key == "algo-seed") {
-    algo_seeds = parse_list<std::uint64_t>(key, value, ints);
+    algo_seeds = integers<std::uint64_t>(key, value);
   } else if (key == "eps") {
     epss = parse_list<double>(key, value, reals);
   } else if (key == "kappa") {
-    kappas = parse_list<int>(key, value, ints);
+    kappas = integers<int>(key, value);
   } else if (key == "rho") {
     rhos = parse_list<double>(key, value, reals);
   } else if (key == "mode") {
+    core::Params::check_mode(value);
     mode = value;
-  } else if (key == "substrate") {
-    substrate = value;
-  } else if (key == "build-threads") {
-    build_threads = static_cast<unsigned>(ints(key, value));
   } else if (key == "crosscheck") {
     crosscheck = util::Flags::parse_boolean(value);
   } else if (key == "validate") {
     validate = util::Flags::parse_boolean(value);
   } else if (key == "verify") {
-    verify_sources = static_cast<std::uint32_t>(ints(key, value));
+    verify_sources = integer<std::uint32_t>(key, value);
     // Derive the mode, but never downgrade an explicitly requested "exact"
     // (e.g. a scenario file's `verify-mode = exact` refined by --verify N).
     if (verify_sources == 0) {
@@ -221,9 +215,9 @@ void ScenarioMatrix::set(const std::string& key, const std::string& value) {
     }
     verify_mode = value;
   } else if (key == "verify-threads") {
-    verify_threads = static_cast<unsigned>(ints(key, value));
+    verify_threads = integer<unsigned>(key, value);
   } else if (key == "verify-seed") {
-    verify_seed = static_cast<std::uint64_t>(ints(key, value));
+    verify_seed = integer<std::uint64_t>(key, value);
   } else if (key == "workload") {
     workloads = parse_list<std::string>(
         key, value, [](const std::string&, const std::string& v) {
@@ -234,11 +228,11 @@ void ScenarioMatrix::set(const std::string& key, const std::string& value) {
           return v;
         });
   } else if (key == "cache-budget") {
-    cache_budgets = parse_list<std::uint64_t>(key, value, non_negative);
+    cache_budgets = integers<std::uint64_t>(key, value);
   } else if (key == "query-threads") {
-    query_threads = parse_list<unsigned>(key, value, non_negative);
+    query_threads = integers<unsigned>(key, value);
   } else if (key == "cluster-shards") {
-    cluster_shards = parse_list<unsigned>(key, value, non_negative);
+    cluster_shards = integers<unsigned>(key, value);
   } else if (key == "partition") {
     partitions = parse_list<std::string>(
         key, value, [](const std::string&, const std::string& v) {
@@ -261,9 +255,9 @@ void ScenarioMatrix::set(const std::string& key, const std::string& value) {
           return v;
         });
   } else if (key == "queries") {
-    queries = static_cast<std::uint64_t>(non_negative(key, value));
+    queries = integer<std::uint64_t>(key, value);
   } else if (key == "workload-seed") {
-    workload_seed = static_cast<std::uint64_t>(ints(key, value));
+    workload_seed = integer<std::uint64_t>(key, value);
   } else if (key == "zipf-theta") {
     zipf_theta = util::Flags::parse_real(key, value);
   } else {
@@ -288,8 +282,6 @@ void ScenarioMatrix::apply_flags(const util::Flags& flags) {
       {"kappa", "3", "kappa values (comma list)"},
       {"rho", "0.4", "rho values (comma list)"},
       {"mode", "practical", "schedule mode: practical|paper"},
-      {"substrate", "serial", "engine substrate: serial|parallel|alpha"},
-      {"build-threads", "0", "parallel-substrate workers, 0 = all cores"},
       {"crosscheck", "false", "re-simulate Algorithm 1 on the round engine"},
       {"validate", "false", "check structural lemmas during the build"},
       {"verify", "0", "sampled verification sources, 0 = off (sets verify-mode)"},

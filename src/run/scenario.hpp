@@ -2,8 +2,8 @@
 //
 // A ScenarioSpec is everything one experiment datapoint needs: the graph
 // source (generator family + size + seed, or an edge-list file), the spanner
-// algorithm and its parameters, the CONGEST substrate for engine-backed
-// cross-checks, and the verification settings.  A ScenarioMatrix holds one
+// algorithm and its parameters, the engine-backed cross-check switch, and
+// the verification settings.  A ScenarioMatrix holds one
 // list of values per axis and expands to the cross product in a fixed,
 // documented order, so every consumer — the nas_run CLI, the bench wrappers,
 // the tests — agrees on which row is which.
@@ -49,9 +49,7 @@ struct ScenarioSpec {
   double rho = 0.4;
   std::string mode = "practical";  ///< "practical" | "paper"
 
-  // Engine-backed execution options (see core::BuildOptions).
-  std::string substrate = "serial";  ///< "serial" | "parallel" | "alpha"
-  unsigned build_threads = 0;        ///< parallel substrate workers, 0 = all
+  // Build options (see core::BuildOptions).
   bool crosscheck = false;           ///< re-simulate Algorithm 1 round-by-round
   bool validate = false;             ///< structural lemma validation
 
@@ -126,8 +124,6 @@ struct ScenarioMatrix {
 
   // Scalar (non-matrix) settings copied into every spec.
   std::string mode = "practical";
-  std::string substrate = "serial";
-  unsigned build_threads = 0;
   bool crosscheck = false;
   bool validate = false;
   std::string verify_mode = "off";

@@ -23,7 +23,6 @@ util::JsonObject row_fields(const ResultRow& row, const SinkOptions& options) {
       {"kappa", JsonValue::number(static_cast<std::int64_t>(spec.kappa))},
       {"rho", JsonValue::literal(format_real(spec.rho))},
       {"mode", JsonValue::str(spec.mode)},
-      {"substrate", JsonValue::str(spec.substrate)},
       {"spanner_edges", JsonValue::number(row.spanner_edges)},
       {"rounds", JsonValue::number(row.rounds)},
       {"guarantee_mult", JsonValue::literal(format_real(row.guarantee_mult))},

@@ -3,11 +3,9 @@
 // One pool owns `size() - 1` parked threads; `run(count, job)` executes
 // job(0) .. job(count-1) concurrently — slot 0 on the calling thread, the
 // rest one-per-worker — and blocks until every slot returns.  Slots are
-// genuinely concurrent (not queued), so jobs may synchronize with each other
-// (the multi-threaded CONGEST engine runs its barrier-stepped worker loops
-// through one of these).  The pool is reusable across run() calls without
-// respawning threads, which is what makes per-round and per-verification
-// dispatch cheap.
+// genuinely concurrent (not queued), so jobs may synchronize with each
+// other.  The pool is reusable across run() calls without respawning
+// threads.
 //
 // Exactly one thread may call run() at a time; the first exception thrown by
 // any slot is rethrown on the calling thread after all slots finish.
@@ -38,7 +36,7 @@ class ThreadPool {
   [[nodiscard]] unsigned size() const { return threads_; }
 
   /// The one thread-count policy shared by every sharded consumer (stretch
-  /// verifier, APSP, the CONGEST ParallelEngine): 0 requests hardware
+  /// verifier, APSP, oracle batches, cluster shards): 0 requests hardware
   /// concurrency, and the result is clamped to [1, max(items, 1)] — no
   /// point in more workers than work items.
   [[nodiscard]] static unsigned resolve(unsigned requested, std::size_t items);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "congest/async.hpp"
 #include "congest/engine.hpp"
@@ -90,26 +91,95 @@ Engine::NodeProgram bfs_program(const Graph& g, Vertex source,
   };
 }
 
-class AlphaFamilies : public ::testing::TestWithParam<std::string> {};
+/// Min-ID flood writing into `best`: best[v] converges to the smallest
+/// vertex ID in v's component; a vertex re-announces whenever it improves.
+Engine::NodeProgram min_id_program(const Graph& g,
+                                   std::vector<std::uint64_t>& best) {
+  best.resize(g.num_vertices());
+  for (Vertex v = 0; v < g.num_vertices(); ++v) best[v] = v;
+  return [&g, &best](Vertex v, std::uint64_t round,
+                     std::span<const Message> inbox, Engine::Mailbox& mbox) {
+    bool improved = round == 0;
+    for (const auto& m : inbox) {
+      if (m.a < best[v]) {
+        best[v] = m.a;
+        improved = true;
+      }
+    }
+    if (improved) {
+      for (Vertex u : g.neighbors(v)) mbox.send(u, {.a = best[v]});
+    }
+  };
+}
 
-TEST_P(AlphaFamilies, BfsMatchesSynchronousExecution) {
-  const Graph g = graph::make_workload(GetParam(), 120, 5);
-  const auto rounds = static_cast<std::uint64_t>(
-      graph::diameter_largest_component(g) + 2);
+/// Order-sensitive mixer: every round each vertex hashes its (sorted) inbox
+/// into `state` and re-broadcasts, so any difference in inbox order or
+/// content snowballs.  Only fields a and b are used; α reserves c.
+Engine::NodeProgram mixer_program(const Graph& g,
+                                  std::vector<std::uint64_t>& state) {
+  state.resize(g.num_vertices());
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    state[v] = 0x9e3779b97f4a7c15ULL * (v + 1);
+  }
+  return [&g, &state](Vertex v, std::uint64_t, std::span<const Message> inbox,
+                      Engine::Mailbox& mbox) {
+    for (const auto& m : inbox) {
+      std::uint64_t h = state[v] ^ (m.a + 0x9e3779b97f4a7c15ULL +
+                                    (static_cast<std::uint64_t>(m.src) << 17));
+      h ^= h >> 33;
+      h *= 0xff51afd7ed558ccdULL;
+      h ^= h >> 33;
+      state[v] = h;
+    }
+    for (Vertex u : g.neighbors(v)) mbox.send(u, {.a = state[v], .b = v});
+  };
+}
 
-  std::vector<std::uint32_t> sync_dist;
+/// Runs the program `make(state)` returns for `rounds` rounds on the exact
+/// Engine and under α at two delay seeds: the per-vertex state, the payload
+/// message count and the round count must agree.
+template <typename State, typename Make>
+void expect_alpha_matches_engine(const Graph& g, std::uint64_t rounds,
+                                 const Make& make) {
+  std::vector<State> sync_state;
   Engine engine(g);
-  engine.run_rounds(rounds, bfs_program(g, 0, sync_dist));
+  engine.run_rounds(rounds, make(sync_state));
 
   for (const std::uint64_t seed : {1ull, 99ull}) {
-    std::vector<std::uint32_t> async_dist;
-    const auto rep = run_alpha_synchronized(
-        g, rounds, bfs_program(g, 0, async_dist),
-        {.seed = seed, .max_delay = 7});
-    EXPECT_EQ(async_dist, sync_dist) << GetParam() << " seed " << seed;
+    SCOPED_TRACE("alpha seed " + std::to_string(seed));
+    std::vector<State> async_state;
+    const auto rep = run_alpha_synchronized(g, rounds, make(async_state),
+                                            {.seed = seed, .max_delay = 7});
+    EXPECT_EQ(async_state, sync_state);
+    EXPECT_EQ(rep.payload_messages, engine.messages_sent());
+    EXPECT_EQ(rep.rounds, rounds);
     EXPECT_GT(rep.virtual_time, 0u);
     EXPECT_GT(rep.control_messages, 0u);
   }
+}
+
+class AlphaFamilies : public ::testing::TestWithParam<std::string> {
+ protected:
+  const Graph g_ = graph::make_workload(GetParam(), 120, 5);
+  const std::uint64_t diameter_rounds_ = static_cast<std::uint64_t>(
+      graph::diameter_largest_component(g_) + 2);
+};
+
+TEST_P(AlphaFamilies, BfsMatchesSynchronousExecution) {
+  expect_alpha_matches_engine<std::uint32_t>(
+      g_, diameter_rounds_, [&](auto& dist) { return bfs_program(g_, 0, dist); });
+}
+
+TEST_P(AlphaFamilies, MinIdFloodMatchesSynchronousExecution) {
+  expect_alpha_matches_engine<std::uint64_t>(
+      g_, diameter_rounds_, [&](auto& best) { return min_id_program(g_, best); });
+}
+
+TEST_P(AlphaFamilies, MixerMatchesSynchronousExecution) {
+  // All-to-all traffic every round; a handful of rounds is plenty for any
+  // ordering discrepancy to snowball through the hash chain.
+  expect_alpha_matches_engine<std::uint64_t>(
+      g_, 6, [&](auto& state) { return mixer_program(g_, state); });
 }
 
 INSTANTIATE_TEST_SUITE_P(Families, AlphaFamilies,

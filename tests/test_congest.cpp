@@ -114,6 +114,83 @@ TEST(Engine, QuiescenceStopsEarly) {
   EXPECT_LT(rounds, 100u);
 }
 
+TEST(Engine, BandwidthGuardResetsBetweenRuns) {
+  // A program that legally sends in round 1 must not trip the guard on a
+  // second run of the same engine (round numbering restarts per run).
+  const auto program = [](Vertex v, std::uint64_t round,
+                          std::span<const Message>, Engine::Mailbox& mbox) {
+    if (v == 0 && round == 1) mbox.send(1, {.a = 1});
+  };
+  const Graph g = graph::path(2);
+  Engine engine(g);
+  EXPECT_NO_THROW(engine.run_rounds(2, program));
+  EXPECT_NO_THROW(engine.run_rounds(2, program));
+}
+
+TEST(Engine, CompletedRunCarriesLastRoundIntoNextRun) {
+  const Graph g = graph::path(2);
+  Engine engine(g);
+  engine.run_rounds(1, [](Vertex v, std::uint64_t, std::span<const Message>,
+                          Engine::Mailbox& mbox) {
+    if (v == 0) mbox.send(1, {.a = 5});
+  });
+  std::vector<std::uint64_t> seen;
+  engine.run_rounds(1, [&](Vertex, std::uint64_t, std::span<const Message> in,
+                           Engine::Mailbox&) {
+    for (const auto& m : in) seen.push_back(m.a);
+  });
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{5}));
+}
+
+TEST(Engine, FailedRunLeavesNothingInFlight) {
+  // Edges 0-1 and 0-2.  The failing round stages a=7 to 2 and a=7 to 1
+  // before its second send to 1 violates the bandwidth constraint; a
+  // later run on the same engine must receive none of it.
+  const Graph g = Graph::from_edges(3, {{0, 1}, {0, 2}});
+  Engine engine(g);
+  const auto silent_run_inbox = [&] {
+    std::size_t received = 0;
+    engine.run_rounds(3, [&](Vertex, std::uint64_t, std::span<const Message> in,
+                             Engine::Mailbox&) { received += in.size(); });
+    return received;
+  };
+  EXPECT_THROW(engine.run_rounds(
+                   1,
+                   [](Vertex v, std::uint64_t, std::span<const Message>,
+                      Engine::Mailbox& mbox) {
+                     if (v == 0) {
+                       mbox.send(2, {.a = 7});
+                       mbox.send(1, {.a = 7});
+                       mbox.send(1, {.a = 8});
+                     }
+                   }),
+               std::logic_error);
+  EXPECT_EQ(silent_run_inbox(), 0u);
+
+  // Failing in a later round drops that round's deliveries too.
+  EXPECT_THROW(engine.run_rounds(
+                   2,
+                   [](Vertex v, std::uint64_t round, std::span<const Message>,
+                      Engine::Mailbox& mbox) {
+                     if (v == 0) mbox.send(1, {.a = round});
+                     if (v == 2 && round == 1) mbox.send(1, {.a = 9});
+                   }),
+               std::invalid_argument);  // 2 and 1 are not adjacent
+  EXPECT_EQ(silent_run_inbox(), 0u);
+
+  // The engine still enforces the constraint.
+  EXPECT_THROW(engine.run_rounds(
+                   1,
+                   [](Vertex v, std::uint64_t, std::span<const Message>,
+                      Engine::Mailbox& mbox) {
+                     if (v == 0) {
+                       mbox.send(1, {.a = 1});
+                       mbox.send(1, {.a = 2});
+                     }
+                   }),
+               std::logic_error);
+}
+
 // --- protocols --------------------------------------------------------------
 
 class CongestBfsFamilies : public ::testing::TestWithParam<std::string> {};

@@ -220,4 +220,18 @@ TEST(ElkinMatar, ValidateOffSkipsChecksButSameSpanner) {
   EXPECT_EQ(with.spanner.edges(), without.spanner.edges());
 }
 
+TEST(ElkinMatar, CrossCheckedBuildPassesAndEqualsPlainBuild) {
+  // Every phase's event-driven Algorithm 1 must match its congest::Engine
+  // re-execution bit-for-bit (a mismatch throws), and the reference is
+  // verification work: the spanner and the ledger are those of a plain build.
+  const Graph g = graph::make_workload("er", 150, 21);
+  const auto params = Params::practical(g.num_vertices(), 0.5, 3, 0.4);
+  const auto plain = core::build_spanner(g, params);
+  const auto checked =
+      core::build_spanner(g, params, {.cross_check_alg1 = true});
+  EXPECT_EQ(checked.spanner.edges(), plain.spanner.edges());
+  EXPECT_EQ(checked.ledger.rounds(), plain.ledger.rounds());
+  EXPECT_EQ(checked.ledger.messages(), plain.ledger.messages());
+}
+
 }  // namespace

@@ -115,6 +115,23 @@ TEST(Params, PaperModeRescaling) {
   EXPECT_DOUBLE_EQ(p.eps_user(), 1.0);
 }
 
+TEST(Params, FromModeBuildsTheNamedScheduleOnly) {
+  const auto practical = Params::from_mode("practical", 1000, 0.25, 3, 0.4);
+  EXPECT_FALSE(practical.is_paper_mode());
+  EXPECT_EQ(practical.describe(), Params::practical(1000, 0.25, 3, 0.4).describe());
+  const auto paper = Params::from_mode("paper", 1000, 0.5, 3, 0.4, 2000);
+  EXPECT_TRUE(paper.is_paper_mode());
+  EXPECT_EQ(paper.describe(), Params::paper(1000, 0.5, 3, 0.4, 2000).describe());
+  for (const char* bad : {"papr", "Paper", "", "practical "}) {
+    EXPECT_THROW((void)Params::from_mode(bad, 1000, 0.25, 3, 0.4),
+                 std::invalid_argument)
+        << bad;
+    EXPECT_THROW(Params::check_mode(bad), std::invalid_argument) << bad;
+  }
+  EXPECT_NO_THROW(Params::check_mode("practical"));
+  EXPECT_NO_THROW(Params::check_mode("paper"));
+}
+
 TEST(Params, BetaDecreasesWithLargerEps) {
   const double b1 = Params::paper(1000, 0.5, 3, 0.4).beta_paper();
   const double b2 = Params::paper(1000, 1.0, 3, 0.4).beta_paper();

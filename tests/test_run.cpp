@@ -128,6 +128,30 @@ TEST(ScenarioMatrix, SetRejectsUnknownKeysAndBadValues) {
   EXPECT_THROW(m.set("n", "12,abc"), std::invalid_argument);
   EXPECT_THROW(m.set("eps", "0.5x"), std::invalid_argument);
   EXPECT_THROW(m.set("verify-mode", "sometimes"), std::invalid_argument);
+  // Unknown schedule modes fail instead of running the practical schedule.
+  EXPECT_THROW(m.set("mode", "papr"), std::invalid_argument);
+  // Integers outside the field's range fail instead of wrapping
+  // (-5 -> n = 4294967291, 2^32 + 64 -> n = 64, 2^32 + 3 -> kappa = 3).
+  EXPECT_THROW(m.set("n", "-5"), std::invalid_argument);
+  EXPECT_THROW(m.set("n", "64,4294967360"), std::invalid_argument);
+  EXPECT_THROW(m.set("kappa", "4294967299"), std::invalid_argument);
+  EXPECT_THROW(m.set("kappa", "-3"), std::invalid_argument);
+  EXPECT_THROW(m.set("verify", "-1"), std::invalid_argument);
+  EXPECT_THROW(m.set("verify", "4294967296"), std::invalid_argument);
+  EXPECT_THROW(m.set("verify-threads", "-1"), std::invalid_argument);
+  EXPECT_THROW(m.set("verify-threads", "4294967296"), std::invalid_argument);
+  // Nothing above touched the matrix.
+  EXPECT_EQ(m.mode, "practical");
+  EXPECT_EQ(m.ns, (std::vector<graph::Vertex>{1024}));
+  EXPECT_EQ(m.kappas, (std::vector<int>{3}));
+  EXPECT_EQ(m.verify_sources, 16u);
+  EXPECT_EQ(m.verify_threads, 1u);
+  m.set("mode", "paper");
+  m.set("n", "4294967295");
+  m.set("verify-threads", "0");
+  EXPECT_EQ(m.mode, "paper");
+  EXPECT_EQ(m.ns, (std::vector<graph::Vertex>{4294967295u}));
+  EXPECT_EQ(m.verify_threads, 0u);
   try {
     m.set("n", "abc");
     FAIL() << "expected invalid_argument";
@@ -135,6 +159,13 @@ TEST(ScenarioMatrix, SetRejectsUnknownKeysAndBadValues) {
     // The error names the key and the offending value (the Flags bugfix).
     EXPECT_NE(std::string(e.what()).find("n"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("abc"), std::string::npos);
+  }
+  try {
+    m.set("verify-threads", "-1");
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "flag --verify-threads must be in [0, 4294967295], got -1");
   }
 }
 
@@ -164,6 +195,22 @@ TEST(ScenarioMatrix, FromFileParsesKeysCommentsAndReportsLines) {
     FAIL() << "expected runtime_error";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find(":2"), std::string::npos);
+  }
+  // Bad values report their line and key.
+  for (const std::string bad : {"verify-threads = -1", "mode = papr"}) {
+    {
+      std::ofstream out(path);
+      out << "family = er\n" << "n = 64\n" << bad << "\n";
+    }
+    try {
+      (void)run::ScenarioMatrix::from_file(path);
+      FAIL() << "expected runtime_error for " << bad;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(path + ":3: "), std::string::npos) << what;
+      EXPECT_NE(what.find(bad.substr(0, bad.find(' '))), std::string::npos)
+          << what;
+    }
   }
   EXPECT_THROW((void)run::ScenarioMatrix::from_file("/nonexistent/zzz"),
                std::runtime_error);

@@ -204,6 +204,8 @@ TEST(Flags, InRangeAcceptsBothBounds) {
             static_cast<std::uint64_t>(int64_max));
   EXPECT_EQ(Flags::in_range<int>("level", -3, -3, 7), -3);
   EXPECT_EQ(Flags::in_range<int>("level", 7, -3, 7), 7);
+  EXPECT_EQ(Flags::in_range<std::uint32_t>("n", 4294967295), 4294967295u);
+  EXPECT_EQ(Flags::in_range<int>("kappa", 2147483647), 2147483647);
 }
 
 TEST(Flags, InRangeRejectsValuesOutsideTheRange) {
@@ -215,12 +217,22 @@ TEST(Flags, InRangeRejectsValuesOutsideTheRange) {
                std::invalid_argument);
   EXPECT_THROW((void)Flags::in_range<int>("level", 8, -3, 7),
                std::invalid_argument);
+  // --n 4294967360 used to build n = 64, --kappa 4294967299 ran kappa = 3.
+  EXPECT_THROW((void)Flags::in_range<std::uint32_t>("n", 4294967360),
+               std::invalid_argument);
+  EXPECT_THROW((void)Flags::in_range<int>("kappa", 4294967299),
+               std::invalid_argument);
   // Below the range: a negative count, and explicit lower bounds.
   EXPECT_THROW((void)Flags::in_range<std::uint64_t>("queries", -1),
                std::invalid_argument);
   EXPECT_THROW((void)Flags::in_range<unsigned>("shards", 0, 1),
                std::invalid_argument);
   EXPECT_THROW((void)Flags::in_range<int>("level", -4, -3, 7),
+               std::invalid_argument);
+  // --n -5 used to become n = 4294967291; --threads -1, 4294967295 workers.
+  EXPECT_THROW((void)Flags::in_range<std::uint32_t>("n", -5),
+               std::invalid_argument);
+  EXPECT_THROW((void)Flags::in_range<unsigned>("threads", -1),
                std::invalid_argument);
   // The error names the flag, its range, and the rejected value.
   try {

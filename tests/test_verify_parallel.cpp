@@ -1,8 +1,7 @@
 // The verification-pipeline determinism contract: the source-sharded
 // parallel stretch verifier and APSP oracle return bit-identical results to
-// the serial path at every thread count, on every graph family the
-// substrate-equivalence harness exercises — plus the hardened edge-list
-// reader's error reporting.
+// the serial path at every thread count, on six graph families — plus the
+// hardened edge-list reader's error reporting.
 #include <gtest/gtest.h>
 
 #include <bit>

@@ -22,12 +22,13 @@ ClusterFlags::ClusterFlags(const Flags& flags) {
       "a comma list is one snapshot per shard");
   family_ = flags.str("family", "er",
                       "graph family (or file:<path> for an edge list)");
-  n_ = static_cast<graph::Vertex>(
-      flags.integer("n", 1024, "target vertex count (generated families)"));
-  seed_ = static_cast<std::uint64_t>(
-      flags.integer("seed", 1, "graph generator seed"));
+  n_ = Flags::in_range<graph::Vertex>(
+      "n", flags.integer("n", 1024, "target vertex count (generated families)"));
+  seed_ = Flags::in_range<std::uint64_t>(
+      "seed", flags.integer("seed", 1, "graph generator seed"));
   eps_ = flags.real("eps", 0.25, "schedule epsilon");
-  kappa_ = static_cast<int>(flags.integer("kappa", 3, "schedule kappa"));
+  kappa_ = Flags::in_range<int>("kappa",
+                                flags.integer("kappa", 3, "schedule kappa"));
   rho_ = flags.real("rho", 0.4, "schedule rho");
   mode_ = flags.str("mode", "practical", "schedule mode: practical|paper");
 
@@ -56,6 +57,7 @@ ClusterFlags::ClusterFlags(const Flags& flags) {
 }
 
 serve::ShardedCluster ClusterFlags::make_cluster() const {
+  core::Params::check_mode(mode_);
   if (snapshot_format_ != "auto" && snapshot_format_ != "v1" &&
       snapshot_format_ != "v2") {
     throw std::invalid_argument(
@@ -87,9 +89,7 @@ serve::ShardedCluster ClusterFlags::make_cluster() const {
                              ? graph::read_edge_list_file(family_.substr(5))
                              : graph::make_workload(family_, n_, seed_);
   const auto params =
-      mode_ == "paper"
-          ? core::Params::paper(g.num_vertices(), eps_, kappa_, rho_)
-          : core::Params::practical(g.num_vertices(), eps_, kappa_, rho_);
+      core::Params::from_mode(mode_, g.num_vertices(), eps_, kappa_, rho_);
   const auto result = core::build_spanner(g, params, {.validate = false});
   return serve::ShardedCluster(result.spanner, params.stretch_multiplicative(),
                                params.stretch_additive(), options);

@@ -26,10 +26,10 @@ class ClusterFlags {
   /// std::invalid_argument when a count lies outside its range.
   explicit ClusterFlags(const util::Flags& flags);
 
-  /// Checks --snapshot-format (and the --load files against it), then
-  /// loads the cluster from the snapshots or builds the spanner and shards
-  /// it.  Call after Flags::reject_unknown(), so a mistyped flag fails
-  /// before any work runs.
+  /// Checks --mode and --snapshot-format (and the --load files against
+  /// it), then loads the cluster from the snapshots or builds the spanner
+  /// and shards it.  Call after Flags::reject_unknown(), so a mistyped flag
+  /// fails before any work runs.
   [[nodiscard]] serve::ShardedCluster make_cluster() const;
 
   /// --threads: the pool slots each serve() call spreads its shards over.

@@ -48,12 +48,14 @@ int main(int argc, char** argv) {
         flags.str("load", "", "load a serving snapshot instead of building");
     const std::string family = flags.str(
         "family", "er", "graph family (or file:<path> for an edge list)");
-    const auto n = static_cast<graph::Vertex>(
+    const auto n = util::Flags::in_range<graph::Vertex>(
+        "n",
         flags.integer("n", 1024, "target vertex count (generated families)"));
-    const auto seed = static_cast<std::uint64_t>(
-        flags.integer("seed", 1, "graph generator seed"));
+    const auto seed = util::Flags::in_range<std::uint64_t>(
+        "seed", flags.integer("seed", 1, "graph generator seed"));
     const double eps = flags.real("eps", 0.25, "schedule epsilon");
-    const int kappa = static_cast<int>(flags.integer("kappa", 3, "schedule kappa"));
+    const int kappa = util::Flags::in_range<int>(
+        "kappa", flags.integer("kappa", 3, "schedule kappa"));
     const double rho = flags.real("rho", 0.4, "schedule rho");
     const std::string mode =
         flags.str("mode", "practical", "schedule mode: practical|paper");
@@ -88,7 +90,8 @@ int main(int argc, char** argv) {
         "workload", "", "generate requests: uniform|zipf (empty = none)");
     const auto num_queries = util::Flags::in_range<std::uint64_t>(
         "queries", flags.integer("queries", 1000, "generated requests"));
-    const auto workload_seed = static_cast<std::uint64_t>(
+    const auto workload_seed = util::Flags::in_range<std::uint64_t>(
+        "workload-seed",
         flags.integer("workload-seed", 1, "request-generator seed"));
     const double zipf_theta =
         flags.real("zipf-theta", 0.99, "zipf skew exponent");
@@ -104,6 +107,7 @@ int main(int argc, char** argv) {
       return 0;
     }
     flags.reject_unknown();
+    core::Params::check_mode(mode);
     const auto snapshot_format =
         apps::parse_snapshot_format(snapshot_format_name);
 
@@ -120,9 +124,7 @@ int main(int argc, char** argv) {
                                  ? graph::read_edge_list_file(family.substr(5))
                                  : graph::make_workload(family, n, seed);
       const auto params =
-          mode == "paper"
-              ? core::Params::paper(g.num_vertices(), eps, kappa, rho)
-              : core::Params::practical(g.num_vertices(), eps, kappa, rho);
+          core::Params::from_mode(mode, g.num_vertices(), eps, kappa, rho);
       return apps::SpannerDistanceOracle(g, params, oracle_options);
     }();
     const double build_ms = build_timer.millis();

@@ -29,8 +29,8 @@ int main(int argc, char** argv) {
     util::Flags flags(argc, argv);
     const std::string scenario_path =
         flags.str("scenario", "", "scenario file (key = value[, ...] lines)");
-    const auto threads = static_cast<unsigned>(
-        flags.integer("threads", 1, "runner workers, 0 = all cores"));
+    const auto threads = util::Flags::in_range<unsigned>(
+        "threads", flags.integer("threads", 1, "runner workers, 0 = all cores"));
     const std::string json_path =
         flags.str("json", "", "write unified JSON rows to this file");
     const std::string csv_path =

@@ -50,7 +50,8 @@ int main(int argc, char** argv) {
         "workload", "", "generate requests: uniform|zipf (empty = none)");
     const auto num_queries = util::Flags::in_range<std::uint64_t>(
         "queries", flags.integer("queries", 1000, "generated requests"));
-    const auto workload_seed = static_cast<std::uint64_t>(
+    const auto workload_seed = util::Flags::in_range<std::uint64_t>(
+        "workload-seed",
         flags.integer("workload-seed", 1, "request-generator seed"));
     const double zipf_theta =
         flags.real("zipf-theta", 0.99, "zipf skew exponent");
