@@ -30,10 +30,11 @@ using namespace nas;
 
 int main(int argc, char** argv) {
   util::Flags flags(argc, argv);
-  const auto n = static_cast<graph::Vertex>(
-      flags.integer("n", 1200, "target vertex count"));
+  const auto n = util::Flags::in_range<graph::Vertex>(
+      "n", flags.integer("n", 1200, "target vertex count"));
   const std::string csv_path = flags.str("csv", "", "CSV output path");
-  const auto run_threads = static_cast<unsigned>(
+  const auto run_threads = util::Flags::in_range<unsigned>(
+      "run-threads",
       flags.integer("run-threads", 1, "concurrent scenarios, 0 = all cores"));
   if (flags.handle_help(
           "ablation_ruling — ruling set vs sampling; the c knob")) {

@@ -73,9 +73,10 @@ int main(int argc, char** argv) {
       "family", "er,er_dense,ba,grid", "comma-separated graph families");
   const std::string n_spec =
       flags.str("n", "4000,16000", "comma-separated target vertex counts");
-  const auto seed = static_cast<std::uint64_t>(
-      flags.integer("seed", 1, "graph generator seed"));
-  const auto num_sources = static_cast<std::uint64_t>(
+  const auto seed = util::Flags::in_range<std::uint64_t>(
+      "seed", flags.integer("seed", 1, "graph generator seed"));
+  const auto num_sources = util::Flags::in_range<std::uint64_t>(
+      "sources",
       flags.integer("sources", 16, "BFS sources per (family, n) point"));
   const std::string json_path =
       flags.str("json", "BENCH_bfs.json", "perf JSON output path");
@@ -89,8 +90,8 @@ int main(int argc, char** argv) {
   const auto family_list = run::split_list(family_spec);
   std::vector<graph::Vertex> n_list;
   for (const auto& item : run::split_list(n_spec)) {
-    n_list.push_back(
-        static_cast<graph::Vertex>(util::Flags::parse_integer("n", item)));
+    n_list.push_back(util::Flags::in_range<graph::Vertex>(
+        "n", util::Flags::parse_integer("n", item)));
   }
   if (family_list.empty() || n_list.empty()) {
     std::cerr << "error: empty --family or --n list\n";

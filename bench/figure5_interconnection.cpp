@@ -13,10 +13,11 @@ using namespace nas;
 
 int main(int argc, char** argv) {
   util::Flags flags(argc, argv);
-  const auto n = static_cast<graph::Vertex>(
-      flags.integer("n", 1200, "target vertex count"));
+  const auto n = util::Flags::in_range<graph::Vertex>(
+      "n", flags.integer("n", 1200, "target vertex count"));
   const double eps = flags.real("eps", 0.25, "epsilon");
-  const int kappa = static_cast<int>(flags.integer("kappa", 3, "kappa"));
+  const int kappa = util::Flags::in_range<int>(
+      "kappa", flags.integer("kappa", 3, "kappa"));
   const double rho = flags.real("rho", 0.4, "rho");
   const std::string csv_path = flags.str("csv", "", "CSV output path");
   if (flags.handle_help("figure5_interconnection — F5: interconnection step")) {

@@ -27,12 +27,14 @@ int main(int argc, char** argv) {
   matrix.families = {"torus", "grid"};
   matrix.epss = {0.5, 0.25};
   matrix.seeds = {23};
-  matrix.ns = {static_cast<graph::Vertex>(
-      flags.integer("n", 900, "target vertex count"))};
-  matrix.kappas = {static_cast<int>(flags.integer("kappa", 3, "kappa"))};
+  matrix.ns = {util::Flags::in_range<graph::Vertex>(
+      "n", flags.integer("n", 900, "target vertex count"))};
+  matrix.kappas = {
+      util::Flags::in_range<int>("kappa", flags.integer("kappa", 3, "kappa"))};
   matrix.rhos = {flags.real("rho", 0.4, "rho")};
   const std::string csv_path = flags.str("csv", "", "CSV output path");
-  const auto run_threads = static_cast<unsigned>(
+  const auto run_threads = util::Flags::in_range<unsigned>(
+      "run-threads",
       flags.integer("run-threads", 1, "concurrent scenarios, 0 = all cores"));
   if (flags.handle_help(
           "figures_stretch — F6-F8: per-distance stretch decomposition")) {

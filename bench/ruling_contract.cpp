@@ -11,8 +11,8 @@ using namespace nas;
 
 int main(int argc, char** argv) {
   util::Flags flags(argc, argv);
-  const auto n = static_cast<graph::Vertex>(
-      flags.integer("n", 1500, "target vertex count"));
+  const auto n = util::Flags::in_range<graph::Vertex>(
+      "n", flags.integer("n", 1500, "target vertex count"));
   const std::string family = flags.str("family", "er", "workload family");
   const std::string csv_path = flags.str("csv", "", "CSV output path");
   if (flags.handle_help("ruling_contract — A2: Theorem 2.2 contract")) return 0;

@@ -25,12 +25,13 @@ int main(int argc, char** argv) {
   matrix.seeds = {31};
   const double eps = flags.real("eps", 0.25, "epsilon");
   matrix.epss = {eps};
-  const int kappa = static_cast<int>(flags.integer("kappa", 3, "kappa"));
+  const int kappa = util::Flags::in_range<int>(
+      "kappa", flags.integer("kappa", 3, "kappa"));
   matrix.kappas = {kappa};
   const double rho = flags.real("rho", 0.4, "rho");
   matrix.rhos = {rho};
-  const auto max_n = static_cast<graph::Vertex>(
-      flags.integer("max_n", 8192, "largest n (doubling from 512)"));
+  const auto max_n = util::Flags::in_range<graph::Vertex>(
+      "max_n", flags.integer("max_n", 8192, "largest n (doubling from 512)"));
   const std::string family = flags.str("family", "er", "workload family");
   matrix.families = {family};
   const std::string csv_path =
@@ -39,12 +40,15 @@ int main(int argc, char** argv) {
       flags.str("json", "", "unified JSON rows output path");
   matrix.crosscheck = flags.boolean(
       "crosscheck", false, "re-simulate Algorithm 1 on the round engine");
-  matrix.verify_sources = static_cast<std::uint32_t>(
+  matrix.verify_sources = util::Flags::in_range<std::uint32_t>(
+      "verify",
       flags.integer("verify", 0, "sampled verification sources (0 = off)"));
   matrix.verify_mode = matrix.verify_sources > 0 ? "sampled" : "off";
-  matrix.verify_threads = static_cast<unsigned>(
+  matrix.verify_threads = util::Flags::in_range<unsigned>(
+      "verify-threads",
       flags.integer("verify-threads", 0, "verifier shards, 0 = all cores"));
-  const auto run_threads = static_cast<unsigned>(
+  const auto run_threads = util::Flags::in_range<unsigned>(
+      "run-threads",
       flags.integer("run-threads", 1, "concurrent scenarios, 0 = all cores"));
   if (flags.handle_help("scaling_rounds — experiment S1: rounds vs n")) {
     return 0;

@@ -31,8 +31,8 @@ int main(int argc, char** argv) {
   matrix.epss = {flags.real("eps", 0.25, "epsilon")};
   const double rho = flags.real("rho", 0.4, "rho");
   matrix.rhos = {rho};
-  const auto max_n = static_cast<graph::Vertex>(
-      flags.integer("max_n", 8192, "largest n (doubling from 512)"));
+  const auto max_n = util::Flags::in_range<graph::Vertex>(
+      "max_n", flags.integer("max_n", 8192, "largest n (doubling from 512)"));
   matrix.families = {flags.str("family", "er_dense", "workload family")};
   const std::string csv_path =
       flags.str("csv", "", "unified CSV rows output path");
@@ -40,12 +40,15 @@ int main(int argc, char** argv) {
       flags.str("json", "", "unified JSON rows output path");
   matrix.crosscheck = flags.boolean(
       "crosscheck", false, "re-simulate Algorithm 1 on the round engine");
-  matrix.verify_sources = static_cast<std::uint32_t>(
+  matrix.verify_sources = util::Flags::in_range<std::uint32_t>(
+      "verify",
       flags.integer("verify", 0, "sampled verification sources (0 = off)"));
   matrix.verify_mode = matrix.verify_sources > 0 ? "sampled" : "off";
-  matrix.verify_threads = static_cast<unsigned>(
+  matrix.verify_threads = util::Flags::in_range<unsigned>(
+      "verify-threads",
       flags.integer("verify-threads", 0, "verifier shards, 0 = all cores"));
-  const auto run_threads = static_cast<unsigned>(
+  const auto run_threads = util::Flags::in_range<unsigned>(
+      "run-threads",
       flags.integer("run-threads", 1, "concurrent scenarios, 0 = all cores"));
   if (flags.handle_help("scaling_size — experiment S2: |H| vs n and kappa")) {
     return 0;

@@ -97,9 +97,10 @@ int main(int argc, char** argv) {
         "query-file", "", "replay 'u v' request lines from this file");
     const std::string workload = flags.str(
         "workload", "zipf", "generate requests: uniform|zipf");
-    const auto num_queries = static_cast<std::uint64_t>(
-        flags.integer("queries", 10000, "generated requests"));
-    const auto workload_seed = static_cast<std::uint64_t>(
+    const auto num_queries = util::Flags::in_range<std::uint64_t>(
+        "queries", flags.integer("queries", 10000, "generated requests"));
+    const auto workload_seed = util::Flags::in_range<std::uint64_t>(
+        "workload-seed",
         flags.integer("workload-seed", 1, "request-generator seed"));
     const double zipf_theta =
         flags.real("zipf-theta", 0.99, "zipf skew exponent");

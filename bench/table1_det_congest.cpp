@@ -38,7 +38,8 @@ int main(int argc, char** argv) {
   util::Flags flags(argc, argv);
   const std::string csv_path = flags.str("csv", "", "CSV output path");
   const double eps = flags.real("eps", 1.0, "epsilon");
-  const int kappa = static_cast<int>(flags.integer("kappa", 4, "kappa"));
+  const int kappa = util::Flags::in_range<int>(
+      "kappa", flags.integer("kappa", 4, "kappa"));
   const double rho = flags.real("rho", 0.45, "rho");
   if (flags.handle_help("table1_det_congest — T1: [Elk05] vs the paper")) {
     return 0;

@@ -37,12 +37,13 @@ int main(int argc, char** argv) {
   util::Flags flags(argc, argv);
   run::ScenarioSpec base;
   base.family = flags.str("family", "er", "workload family");
-  base.n = static_cast<graph::Vertex>(
-      flags.integer("n", 50000, "target vertex count"));
-  base.seed = static_cast<std::uint64_t>(
-      flags.integer("seed", 1, "graph generator seed"));
-  const auto sources = static_cast<std::uint32_t>(flags.integer(
-      "sources", 0, "BFS sources: 0 = exact (all n), k = sampled"));
+  base.n = util::Flags::in_range<graph::Vertex>(
+      "n", flags.integer("n", 50000, "target vertex count"));
+  base.seed = util::Flags::in_range<std::uint64_t>(
+      "seed", flags.integer("seed", 1, "graph generator seed"));
+  const auto sources = util::Flags::in_range<std::uint32_t>(
+      "sources", flags.integer("sources", 0,
+                               "BFS sources: 0 = exact (all n), k = sampled"));
   const std::string thread_spec =
       flags.str("threads", "1,2,4,8",
                 "comma-separated verifier worker counts; first = baseline");
@@ -61,8 +62,8 @@ int main(int argc, char** argv) {
 
   std::vector<unsigned> thread_list;
   for (const auto& item : run::split_list(thread_spec)) {
-    thread_list.push_back(static_cast<unsigned>(
-        util::Flags::parse_integer("threads", item)));
+    thread_list.push_back(util::Flags::in_range<unsigned>(
+        "threads", util::Flags::parse_integer("threads", item)));
   }
   if (thread_list.empty()) {
     std::cerr << "error: empty --threads list\n";

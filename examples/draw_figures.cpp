@@ -19,8 +19,8 @@
 int main(int argc, char** argv) {
   using namespace nas;
   util::Flags flags(argc, argv);
-  const auto n = static_cast<graph::Vertex>(
-      flags.integer("n", 60, "target vertex count"));
+  const auto n = util::Flags::in_range<graph::Vertex>(
+      "n", flags.integer("n", 60, "target vertex count"));
   const std::string out_prefix =
       flags.str("out", "fig", "output filename prefix");
   if (flags.handle_help("draw_figures — Figures 1-5 as Graphviz files")) {

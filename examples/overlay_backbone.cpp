@@ -22,10 +22,11 @@
 int main(int argc, char** argv) {
   using namespace nas;
   util::Flags flags(argc, argv);
-  const auto n = static_cast<graph::Vertex>(
-      flags.integer("n", 1500, "target vertex count"));
+  const auto n = util::Flags::in_range<graph::Vertex>(
+      "n", flags.integer("n", 1500, "target vertex count"));
   const double eps = flags.real("eps", 0.25, "epsilon");
-  const int kappa = static_cast<int>(flags.integer("kappa", 4, "kappa"));
+  const int kappa = util::Flags::in_range<int>(
+      "kappa", flags.integer("kappa", 4, "kappa"));
   const double rho = flags.real("rho", 0.45, "rho");
   if (flags.handle_help("overlay_backbone — sparse communication backbone")) {
     return 0;

@@ -17,8 +17,8 @@
 int main(int argc, char** argv) {
   using namespace nas;
   util::Flags flags(argc, argv);
-  const auto n = static_cast<graph::Vertex>(
-      flags.integer("n", 1000, "target vertex count"));
+  const auto n = util::Flags::in_range<graph::Vertex>(
+      "n", flags.integer("n", 1000, "target vertex count"));
   const std::string family =
       flags.str("family", "er_dense", "workload family");
   if (flags.handle_help(

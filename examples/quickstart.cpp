@@ -13,11 +13,12 @@
 int main(int argc, char** argv) {
   using namespace nas;
   util::Flags flags(argc, argv);
-  const auto n = static_cast<graph::Vertex>(
-      flags.integer("n", 1000, "target vertex count"));
+  const auto n = util::Flags::in_range<graph::Vertex>(
+      "n", flags.integer("n", 1000, "target vertex count"));
   const std::string family = flags.str("family", "er", "workload family");
   const double eps = flags.real("eps", 0.25, "epsilon");
-  const int kappa = static_cast<int>(flags.integer("kappa", 3, "kappa"));
+  const int kappa = util::Flags::in_range<int>(
+      "kappa", flags.integer("kappa", 3, "kappa"));
   const double rho = flags.real("rho", 0.4, "rho");
   if (flags.handle_help("quickstart — build a spanner and print what you got")) {
     return 0;

@@ -32,14 +32,17 @@ int main(int argc, char** argv) {
     const std::string out_path =
         flags.str("out", "", "write the spanner's edge list here");
     spec.eps = flags.real("eps", 0.25, "epsilon");
-    spec.kappa = static_cast<int>(flags.integer("kappa", 3, "kappa"));
+    spec.kappa = util::Flags::in_range<int>(
+        "kappa", flags.integer("kappa", 3, "kappa"));
     spec.rho = flags.real("rho", 0.4, "rho");
     spec.mode = flags.str("mode", "practical", "schedule: practical|paper");
-    spec.verify_sources = static_cast<std::uint32_t>(flags.integer(
-        "verify", 0, "sampled verification sources (0 = off)"));
+    spec.verify_sources = util::Flags::in_range<std::uint32_t>(
+        "verify", flags.integer("verify", 0,
+                                "sampled verification sources (0 = off)"));
     spec.verify_mode = spec.verify_sources > 0 ? "sampled" : "off";
-    spec.verify_threads = static_cast<unsigned>(flags.integer(
-        "verify-threads", 0, "verifier shards, 0 = all cores"));
+    spec.verify_threads = util::Flags::in_range<unsigned>(
+        "verify-threads",
+        flags.integer("verify-threads", 0, "verifier shards, 0 = all cores"));
     if (flags.handle_help(
             "spanner_tool — build a near-additive spanner of an edge list")) {
       return 0;

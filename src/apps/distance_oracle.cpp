@@ -49,8 +49,7 @@ SpannerDistanceOracle::SpannerDistanceOracle(core::SpannerResult result,
       mult_(params_->stretch_multiplicative()),
       add_(params_->stretch_additive()),
       capacity_(resolve_capacity(options.cache_budget_bytes,
-                                 csr_.num_vertices())),
-      kernel_(options.bfs_kernel) {}
+                                 csr_.num_vertices())) {}
 
 SpannerDistanceOracle::SpannerDistanceOracle(graph::Graph spanner,
                                              double multiplicative,
@@ -70,8 +69,7 @@ SpannerDistanceOracle::SpannerDistanceOracle(graph::Csr spanner,
       mult_(multiplicative),
       add_(additive),
       capacity_(resolve_capacity(options.cache_budget_bytes,
-                                 csr_.num_vertices())),
-      kernel_(options.bfs_kernel) {}
+                                 csr_.num_vertices())) {}
 
 const graph::Graph& SpannerDistanceOracle::spanner() const {
   if (!materialized_) {
@@ -126,7 +124,7 @@ std::uint32_t SpannerDistanceOracle::query(Vertex u, Vertex v) const {
     it->second.last_used = clock_;
     return it->second.dist[t];
   }
-  scratch_.run(csr_, s, kernel_);
+  scratch_.run(csr_, s);
   ++bfs_passes_;
   const auto answer = scratch_.distance(t);
   if (capacity_ > 0) {
@@ -176,16 +174,15 @@ std::vector<std::uint32_t> SpannerDistanceOracle::batch_query(
 
   // BFS the uncached sources, sharded across the pool.  Every worker writes
   // only its own sources' slots and owns one reused BfsScratch, so the
-  // filled distance vectors are identical at any thread count and any
-  // kernel (distances are level structure; direction cannot move them).
-  // The workers stream the shared CSR arrays read-only.
+  // filled distance vectors are identical at any thread count.  The workers
+  // stream the shared CSR arrays read-only.
   std::vector<std::vector<std::uint32_t>> fresh(missing.size());
   util::ThreadPool::run_sharded(
       missing.size(), threads, [&](std::size_t begin, std::size_t end) {
         graph::BfsScratch scratch;
         for (std::size_t i = begin; i < end; ++i) {
           fresh[i].resize(csr_.num_vertices());
-          graph::bfs_kernel_into(csr_, missing[i], fresh[i], scratch, kernel_);
+          graph::bfs_kernel_into(csr_, missing[i], fresh[i], scratch);
         }
       });
   bfs_passes_ += missing.size();

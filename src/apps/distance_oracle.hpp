@@ -21,8 +21,9 @@
 //     util::ThreadPool, each worker running the direction-optimizing
 //     graph::BfsScratch kernel on its own reused scratch.  Planning,
 //     answering, and cache maintenance are serial, so the answer vector
-//     (request order) is byte-identical at every thread count, every cache
-//     budget, and every --bfs-kernel choice.
+//     (request order) is byte-identical at every thread count and every
+//     cache budget.  The kernel is BfsKernel::kAuto, which picks top-down
+//     or hybrid per graph from its average degree.
 //   * The per-source distance cache is *bounded*: OracleOptions fixes a
 //     memory budget, each cached source costs 4·n bytes, and eviction is
 //     deterministic LRU — least-recently-used batch first, ties broken by
@@ -71,11 +72,6 @@ struct OracleOptions {
   /// caching entirely (every batch re-runs its BFS passes).  Answers never
   /// depend on the budget — only the BFS-pass count does.
   std::uint64_t cache_budget_bytes = 64ull << 20;
-  /// Traversal strategy for the BFS hot loop.  Distances are level
-  /// structure — independent of traversal direction — so answers are
-  /// byte-identical for every kernel; only the edges-inspected cost moves
-  /// (CI cmp-gates this across kernels rather than trusting the argument).
-  graph::BfsKernel bfs_kernel = graph::BfsKernel::kAuto;
 };
 
 /// Per-batch serving diagnostics.
@@ -202,7 +198,6 @@ class SpannerDistanceOracle {
   double mult_ = 1.0;
   double add_ = 0.0;
   std::uint64_t capacity_ = 0;  ///< max cached sources (from the byte budget)
-  graph::BfsKernel kernel_ = graph::BfsKernel::kAuto;
 
   /// Keyed by source ID in a *sorted* map: the LRU victim scan iterates the
   /// whole cache, and ordered iteration keeps that scan — and therefore the

@@ -33,16 +33,6 @@ inline bool test_bit(const std::vector<std::uint64_t>& bits, Vertex v) {
 
 }  // namespace
 
-BfsKernel parse_bfs_kernel(const std::string& name) {
-  if (name == "topdown") return BfsKernel::kTopDown;
-  if (name == "hybrid") return BfsKernel::kHybrid;
-  if (name == "auto") return BfsKernel::kAuto;
-  std::string msg = "unknown BFS kernel '";
-  msg += name;
-  msg += "' (expected topdown, hybrid, or auto)";
-  throw std::invalid_argument(msg);
-}
-
 const char* bfs_kernel_name(BfsKernel kernel) {
   switch (kernel) {
     case BfsKernel::kTopDown:

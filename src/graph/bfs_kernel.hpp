@@ -23,8 +23,9 @@
 // Determinism: the kernel exposes *distances only*.  BFS level membership is
 // a property of the graph, not of the traversal order, so every kernel —
 // and every interleaving of levels — produces byte-identical distance
-// arrays.  CI enforces this with cmp gates over the serving binaries rather
-// than trusting the argument (see .github/workflows/ci.yml).
+// arrays.  tests/test_bfs_kernels.cpp checks every kernel against graph::bfs
+// rather than trusting the argument, and bench/bfs_kernels fails when a
+// kernel's distances diverge from top-down's.
 //
 // BfsScratch is the reusable per-worker state: the distance array is
 // validity-tagged with a per-run epoch, so starting a new BFS costs
@@ -35,7 +36,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "graph/csr.hpp"
@@ -50,10 +50,7 @@ enum class BfsKernel {
   kAuto,     ///< hybrid on dense-enough graphs, top-down otherwise
 };
 
-/// Parses "topdown" | "hybrid" | "auto" (std::invalid_argument otherwise).
-[[nodiscard]] BfsKernel parse_bfs_kernel(const std::string& name);
-
-/// The canonical spelling parse_bfs_kernel accepts.
+/// The kernel's name: "topdown" | "hybrid" | "auto".
 [[nodiscard]] const char* bfs_kernel_name(BfsKernel kernel);
 
 /// Per-run traversal counters.  `edges_inspected` is the kernel's work

@@ -12,7 +12,6 @@
 #include "baselines/en17.hpp"
 #include "core/elkin_matar.hpp"
 #include "core/params.hpp"
-#include "graph/bfs_kernel.hpp"
 #include "serve/cluster.hpp"
 #include "util/temp_file.hpp"
 #include "util/thread_pool.hpp"
@@ -48,6 +47,7 @@ ResultRow Runner::run_one(const ScenarioSpec& spec, std::size_t index,
   row.index = index;
   row.spec = spec;
   try {
+    ScenarioSpec::check_algo(spec.algo);
     const auto g = cache_.get(spec.family, spec.n, spec.seed,
                               &row.graph_cache_hit);
     row.n = g->num_vertices();
@@ -73,13 +73,10 @@ ResultRow Runner::run_one(const ScenarioSpec& spec, std::size_t index,
       row.guarantee_mult = result.stretch_multiplicative;
       row.guarantee_add = result.stretch_additive;
       spanner = std::make_shared<const graph::Graph>(std::move(result.spanner));
-    } else if (spec.algo == "identity") {
-      // Spanner = input graph: zero construction cost, trivially (1, 0)
-      // stretch.  Isolates verifier throughput (bench/verify_scaling).
-      spanner = g;
     } else {
-      throw std::invalid_argument("unknown algo \"" + spec.algo +
-                                  "\" (expected em|en17|identity)");
+      // "identity": spanner = input graph, zero construction cost, trivially
+      // (1, 0) stretch.  Isolates verifier throughput (bench/verify_scaling).
+      spanner = g;
     }
     row.build_wall_ms = build_timer.millis();
     row.spanner_edges = spanner->num_edges();
@@ -133,8 +130,7 @@ ResultRow Runner::run_one(const ScenarioSpec& spec, std::size_t index,
 
       if (spec.cluster_shards == 0) {
         const apps::OracleOptions oracle_options{
-            .cache_budget_bytes = spec.cache_budget,
-            .bfs_kernel = graph::parse_bfs_kernel(spec.bfs_kernel)};
+            .cache_budget_bytes = spec.cache_budget};
         std::optional<apps::SpannerDistanceOracle> oracle;
         std::optional<ScopedRemove> scratch;
         if (!snapshot_format.has_value()) {
@@ -164,8 +160,7 @@ ResultRow Runner::run_one(const ScenarioSpec& spec, std::size_t index,
         const serve::ClusterOptions cluster_options{
             .shards = spec.cluster_shards,
             .partition = spec.partition,
-            .shard_cache_budget_bytes = spec.cache_budget,
-            .bfs_kernel = graph::parse_bfs_kernel(spec.bfs_kernel)};
+            .shard_cache_budget_bytes = spec.cache_budget};
         std::optional<serve::ShardedCluster> cluster;
         std::optional<ScopedRemove> scratch;
         if (!snapshot_format.has_value()) {

@@ -1,11 +1,12 @@
 #include "run/scenario.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <span>
 #include <stdexcept>
 
 #include "core/params.hpp"
-#include "graph/bfs_kernel.hpp"
 #include "serve/partition.hpp"
 
 namespace nas::run {
@@ -59,17 +60,31 @@ std::string ScenarioSpec::id() const {
       out += "/sf=";
       out += snapshot_format;
     }
-    if (bfs_kernel != "auto") {
-      out += "/bk=";
-      out += bfs_kernel;
-    }
   }
   return out;
 }
 
+namespace {
+
+/// `axis`, or just its first value when `pin` is set (an axis that cannot
+/// change the row).
+template <typename T>
+std::span<const T> pinned(const std::vector<T>& axis, bool pin) {
+  return std::span<const T>(axis).first(
+      pin ? std::min<std::size_t>(axis.size(), 1) : axis.size());
+}
+
+}  // namespace
+
+void ScenarioSpec::check_algo(const std::string& algo) {
+  if (algo != "em" && algo != "en17" && algo != "identity") {
+    throw std::invalid_argument("unknown algo \"" + algo +
+                                "\" (expected em|en17|identity)");
+  }
+}
+
 std::vector<ScenarioSpec> ScenarioMatrix::expand() const {
   std::vector<ScenarioSpec> specs;
-  specs.reserve(size());
   for (const auto& family : families)
     for (const auto n : ns)
       for (const auto seed : seeds)
@@ -78,50 +93,44 @@ std::vector<ScenarioSpec> ScenarioMatrix::expand() const {
             for (const auto eps : epss)
               for (const auto kappa : kappas)
                 for (const auto rho : rhos)
-                  for (const auto& workload : workloads)
-                    for (const auto cache_budget : cache_budgets)
-                      for (const auto threads : query_threads)
-                        for (const auto shards : cluster_shards)
-                          for (const auto& partition : partitions)
-                            for (const auto& snapshot_format : snapshot_formats)
-                              for (const auto& bfs_kernel : bfs_kernels) {
-                                ScenarioSpec s;
-                                s.family = family;
-                                s.n = n;
-                                s.seed = seed;
-                                s.algo = algo;
-                                s.algo_seed = algo_seed;
-                                s.eps = eps;
-                                s.kappa = kappa;
-                                s.rho = rho;
-                                s.mode = mode;
-                                s.crosscheck = crosscheck;
-                                s.validate = validate;
-                                s.verify_mode = verify_mode;
-                                s.verify_sources = verify_sources;
-                                s.verify_threads = verify_threads;
-                                s.verify_seed = verify_seed;
-                                s.workload = workload;
-                                s.queries = queries;
-                                s.workload_seed = workload_seed;
-                                s.zipf_theta = zipf_theta;
-                                s.cache_budget = cache_budget;
-                                s.query_threads = threads;
-                                s.cluster_shards = shards;
-                                s.partition = partition;
-                                s.snapshot_format = snapshot_format;
-                                s.bfs_kernel = bfs_kernel;
-                                specs.push_back(std::move(s));
-                              }
+                  for (const auto& workload : workloads) {
+                    const bool off = workload == "off";
+                    for (const auto cache_budget : pinned(cache_budgets, off))
+                      for (const auto threads : pinned(query_threads, off))
+                        for (const auto shards : pinned(cluster_shards, off))
+                          for (const auto& partition :
+                               pinned(partitions, off || shards == 0))
+                            for (const auto& snapshot_format :
+                                 pinned(snapshot_formats, off)) {
+                              ScenarioSpec s;
+                              s.family = family;
+                              s.n = n;
+                              s.seed = seed;
+                              s.algo = algo;
+                              s.algo_seed = algo_seed;
+                              s.eps = eps;
+                              s.kappa = kappa;
+                              s.rho = rho;
+                              s.mode = mode;
+                              s.crosscheck = crosscheck;
+                              s.validate = validate;
+                              s.verify_mode = verify_mode;
+                              s.verify_sources = verify_sources;
+                              s.verify_threads = verify_threads;
+                              s.verify_seed = verify_seed;
+                              s.workload = workload;
+                              s.queries = queries;
+                              s.workload_seed = workload_seed;
+                              s.zipf_theta = zipf_theta;
+                              s.cache_budget = cache_budget;
+                              s.query_threads = threads;
+                              s.cluster_shards = shards;
+                              s.partition = partition;
+                              s.snapshot_format = snapshot_format;
+                              specs.push_back(std::move(s));
+                            }
+                  }
   return specs;
-}
-
-std::size_t ScenarioMatrix::size() const {
-  return families.size() * ns.size() * seeds.size() * algos.size() *
-         algo_seeds.size() * epss.size() * kappas.size() * rhos.size() *
-         workloads.size() * cache_budgets.size() * query_threads.size() *
-         cluster_shards.size() * partitions.size() * snapshot_formats.size() *
-         bfs_kernels.size();
 }
 
 std::vector<std::string> split_list(const std::string& text) {
@@ -183,7 +192,10 @@ void ScenarioMatrix::set(const std::string& key, const std::string& value) {
     seeds = integers<std::uint64_t>(key, value);
   } else if (key == "algo") {
     algos = parse_list<std::string>(
-        key, value, [](const std::string&, const std::string& v) { return v; });
+        key, value, [](const std::string&, const std::string& v) {
+          ScenarioSpec::check_algo(v);
+          return v;
+        });
   } else if (key == "algo-seed") {
     algo_seeds = integers<std::uint64_t>(key, value);
   } else if (key == "eps") {
@@ -248,12 +260,6 @@ void ScenarioMatrix::set(const std::string& key, const std::string& value) {
           }
           return v;
         });
-  } else if (key == "bfs-kernel") {
-    bfs_kernels = parse_list<std::string>(
-        key, value, [](const std::string&, const std::string& v) {
-          (void)graph::parse_bfs_kernel(v);  // validates; throws on bad names
-          return v;
-        });
   } else if (key == "queries") {
     queries = integer<std::uint64_t>(key, value);
   } else if (key == "workload-seed") {
@@ -296,8 +302,6 @@ void ScenarioMatrix::apply_flags(const util::Flags& flags) {
       {"partition", "hash", "cluster partitioners: hash|range (comma list)"},
       {"snapshot-format", "none",
        "serving snapshot round-trips: none|v1|v2 (comma list)"},
-      {"bfs-kernel", "auto",
-       "BFS traversal kernels: topdown|hybrid|auto (comma list)"},
       {"queries", "1000", "oracle requests per batch"},
       {"workload-seed", "1", "oracle request-generator seed"},
       {"zipf-theta", "0.99", "zipf workload skew exponent"},

@@ -5,13 +5,13 @@
 // algorithm and its parameters, the engine-backed cross-check switch, and
 // the verification settings.  A ScenarioMatrix holds one
 // list of values per axis and expands to the cross product in a fixed,
-// documented order, so every consumer — the nas_run CLI, the bench wrappers,
-// the tests — agrees on which row is which.
+// documented order, so every consumer — the nas_run CLI, the benches, the
+// tests — agrees on which row is which.
 //
 // Matrices come from three places and all share the same key names:
 //   * flags:          nas_run --family er,grid --n 512,1024 --eps 0.25,0.5
 //   * scenario file:  one `key = value[, value...]` per line, '#' comments
-//   * code:           fill the fields directly (the bench wrappers do this)
+//   * code:           fill the fields directly (the benches do this)
 #pragma once
 
 #include <cstdint>
@@ -83,21 +83,18 @@ struct ScenarioSpec {
   // proving answers are format-independent.  Ignored when `workload` is off.
   std::string snapshot_format = "none";  ///< "none" | "v1" | "v2"
 
-  // BFS traversal strategy for the serving stage (graph::BfsKernel names:
-  // "topdown" | "hybrid" | "auto").  Answers are byte-identical across
-  // kernels — the axis exists so sweeps can compare BFS-pass cost and so CI
-  // can cmp-gate the identity claim.
-  std::string bfs_kernel = "auto";
-
   /// Compact deterministic identifier, e.g.
   /// "er/n=512/seed=1/em/eps=0.25/kappa=3/rho=0.4"; serving scenarios append
   /// "/w=<workload>/q=<queries>/cb=<cache_budget>/qt=<query_threads>" (and
   /// clustered ones "/cs=<cluster_shards>/<partition>", snapshot
-  /// round-trips "/sf=<snapshot_format>", non-default kernels
-  /// "/bk=<bfs_kernel>") so every expansion axis is visible in the id (rows
-  /// of a serving sweep stay distinguishable in logs and grouped sink
-  /// output).
+  /// round-trips "/sf=<snapshot_format>") so every expansion axis is visible
+  /// in the id (rows of a serving sweep stay distinguishable in logs and
+  /// grouped sink output).
   [[nodiscard]] std::string id() const;
+
+  /// Throws std::invalid_argument unless `algo` is "em", "en17" or
+  /// "identity" (shared by ScenarioMatrix::set and Runner::run_one).
+  static void check_algo(const std::string& algo);
 };
 
 /// Value lists per scenario axis; `expand()` produces the cross product.
@@ -119,8 +116,6 @@ struct ScenarioMatrix {
   std::vector<std::string> partitions{"hash"};
   // Snapshot round-trip axis: none|v1|v2 (see ScenarioSpec::snapshot_format).
   std::vector<std::string> snapshot_formats{"none"};
-  // BFS kernel axis: topdown|hybrid|auto (see ScenarioSpec::bfs_kernel).
-  std::vector<std::string> bfs_kernels{"auto"};
 
   // Scalar (non-matrix) settings copied into every spec.
   std::string mode = "practical";
@@ -136,13 +131,13 @@ struct ScenarioMatrix {
 
   /// The cross product in fixed nesting order — family outermost, then n,
   /// seed, algo, algo_seed, eps, kappa, rho, workload, cache_budget,
-  /// query_threads, cluster_shards, partition, snapshot_format, bfs_kernel
-  /// innermost.  Deterministic: the i-th spec depends only on the axis
+  /// query_threads, cluster_shards, partition, snapshot_format innermost.
+  /// Axes that cannot change a row take only their first value, so no two
+  /// specs are the same scenario: a workload of "off" pins every serving
+  /// axis (cache_budget through snapshot_format), and cluster_shards 0 pins
+  /// partition.  Deterministic: the i-th spec depends only on the axis
   /// lists, never on execution.
   [[nodiscard]] std::vector<ScenarioSpec> expand() const;
-
-  /// Number of specs expand() will produce.
-  [[nodiscard]] std::size_t size() const;
 
   /// Applies one `key = values` assignment (shared by flag and file input).
   /// List-valued keys take comma-separated values.  Throws

@@ -14,8 +14,7 @@ std::vector<apps::SpannerDistanceOracle> make_shards(
     const graph::Csr& spanner, double multiplicative, double additive,
     const ClusterOptions& options) {
   const apps::OracleOptions oracle_options{
-      .cache_budget_bytes = options.shard_cache_budget_bytes,
-      .bfs_kernel = options.bfs_kernel};
+      .cache_budget_bytes = options.shard_cache_budget_bytes};
   std::vector<apps::SpannerDistanceOracle> shards;
   shards.reserve(options.shards);
   for (unsigned s = 0; s < options.shards; ++s) {
@@ -62,8 +61,7 @@ ShardedCluster ShardedCluster::from_snapshot_files(
         std::to_string(options.shards) + " shards) or one to replicate");
   }
   const apps::OracleOptions oracle_options{
-      .cache_budget_bytes = options.shard_cache_budget_bytes,
-      .bfs_kernel = options.bfs_kernel};
+      .cache_budget_bytes = options.shard_cache_budget_bytes};
 
   if (paths.size() == 1) {
     // One snapshot, loaded/mapped once: every oracle views the same CSR

@@ -50,9 +50,6 @@ struct ClusterOptions {
   /// Source-cache budget *per shard* in bytes (each oracle resolves it to a
   /// source count exactly like OracleOptions::cache_budget_bytes).
   std::uint64_t shard_cache_budget_bytes = 64ull << 20;
-  /// BFS traversal strategy handed to every shard oracle (see
-  /// OracleOptions::bfs_kernel — answers are byte-identical regardless).
-  graph::BfsKernel bfs_kernel = graph::BfsKernel::kAuto;
 };
 
 /// The deterministic serving counters, for one shard or summed over many.

@@ -11,6 +11,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/distance_oracle.hpp"
@@ -58,18 +59,6 @@ void expect_all_kernels_match_reference(const Graph& g,
           << graph::bfs_kernel_name(kernel);
     }
   }
-}
-
-TEST(BfsKernel, ParseAndNameRoundTrip) {
-  EXPECT_EQ(graph::parse_bfs_kernel("topdown"), BfsKernel::kTopDown);
-  EXPECT_EQ(graph::parse_bfs_kernel("hybrid"), BfsKernel::kHybrid);
-  EXPECT_EQ(graph::parse_bfs_kernel("auto"), BfsKernel::kAuto);
-  for (const auto kernel : kKernels) {
-    EXPECT_EQ(graph::parse_bfs_kernel(graph::bfs_kernel_name(kernel)), kernel);
-  }
-  EXPECT_THROW((void)graph::parse_bfs_kernel("bottomup"),
-               std::invalid_argument);
-  EXPECT_THROW((void)graph::parse_bfs_kernel(""), std::invalid_argument);
 }
 
 // Every kernel reproduces the reference distances from every source on all
@@ -147,6 +136,30 @@ TEST(BfsKernel, StatsCountLevelsAndEdges) {
   // actually switch, and switching must save work.
   EXPECT_GT(hybrid.bottom_up_levels, 0u);
   EXPECT_LT(hybrid.edges_inspected, topdown.edges_inspected);
+
+  // Serving always runs kAuto, so pin what it resolves to: hybrid on the
+  // hub-heavy families (where it does go bottom-up), top-down on the flat
+  // ones (where it never does).
+  const std::array<std::pair<const char*, BfsKernel>, 4> resolves_to = {{
+      {"er_dense", BfsKernel::kHybrid},
+      {"ba", BfsKernel::kHybrid},
+      {"grid", BfsKernel::kTopDown},
+      {"path", BfsKernel::kTopDown},
+  }};
+  for (const auto& [family, kernel] : resolves_to) {
+    const auto g = Csr::from_graph(graph::make_workload(family, 400, 3));
+    BfsKernelStats automatic, want;
+    scratch.run(g, 0, BfsKernel::kAuto, &automatic);
+    scratch.run(g, 0, kernel, &want);
+    EXPECT_EQ(automatic.edges_inspected, want.edges_inspected) << family;
+    EXPECT_EQ(automatic.top_down_levels, want.top_down_levels) << family;
+    EXPECT_EQ(automatic.bottom_up_levels, want.bottom_up_levels) << family;
+    if (kernel == BfsKernel::kHybrid) {
+      EXPECT_GT(automatic.bottom_up_levels, 0u) << family;
+    } else {
+      EXPECT_EQ(automatic.bottom_up_levels, 0u) << family;
+    }
+  }
 }
 
 // One scratch reused past the 16-bit epoch space: after the wrap flushes the
@@ -187,27 +200,23 @@ TEST(BfsKernel, ReuseAcrossDifferentGraphs) {
   }
 }
 
-// The serving contract end-to-end: one oracle per kernel, the same batch at
-// 1, 2, and 8 query shards — every (kernel, threads) combination returns
-// the same answer vector.
-TEST(BfsKernel, OracleBatchesIdenticalAcrossKernelsAndThreads) {
+// The serving contract end-to-end: the oracle runs kAuto, which resolves to
+// hybrid on ba (bottom-up levels included), and its batches at 1, 2, and 8
+// query shards must all equal the graph::bfs reference.
+TEST(BfsKernel, OracleBatchesMatchReferenceAcrossThreads) {
   const Graph g = graph::make_workload("ba", 300, 5);
   std::vector<apps::Query> queries;
+  std::vector<std::uint32_t> want;
   for (Vertex i = 0; i < 120; ++i) {
-    queries.push_back({static_cast<Vertex>((i * 7) % 300),
-                       static_cast<Vertex>((i * 13 + 1) % 300)});
+    const apps::Query q{static_cast<Vertex>((i * 7) % 300),
+                        static_cast<Vertex>((i * 13 + 1) % 300)};
+    queries.push_back(q);
+    want.push_back(reference_dist(g, q.u)[q.v]);
   }
-  std::vector<std::uint32_t> baseline;
-  for (const auto kernel : kKernels) {
-    const apps::SpannerDistanceOracle oracle(
-        g, 1.0, 0.0, apps::OracleOptions{.bfs_kernel = kernel});
-    for (const unsigned threads : {1u, 2u, 8u}) {
-      const auto answers = oracle.batch_query(queries, threads);
-      if (baseline.empty()) baseline = answers;
-      EXPECT_EQ(answers, baseline)
-          << "kernel " << graph::bfs_kernel_name(kernel) << ", threads "
-          << threads;
-    }
+  const apps::SpannerDistanceOracle oracle(g, 1.0, 0.0);
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    EXPECT_EQ(oracle.batch_query(queries, threads), want)
+        << "threads " << threads;
   }
 }
 

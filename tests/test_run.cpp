@@ -30,7 +30,6 @@ TEST(ScenarioMatrix, ExpandsCrossProductInFixedOrder) {
   m.epss = {0.5, 0.25};
   const auto specs = m.expand();
   ASSERT_EQ(specs.size(), 8u);
-  ASSERT_EQ(m.size(), 8u);
   // family outermost, then n, then eps (seed/algo/kappa/rho are singleton).
   EXPECT_EQ(specs[0].family, "er");
   EXPECT_EQ(specs[0].n, 128u);
@@ -94,8 +93,8 @@ TEST(ScenarioMatrix, OracleAxesExpandParseAndTagIds) {
   m.set("queries", "64");
   m.set("workload-seed", "9");
   m.set("zipf-theta", "1.2");
-  ASSERT_EQ(m.size(), 8u);  // 2 workloads x 2 budgets x 2 thread counts
   const auto specs = m.expand();
+  ASSERT_EQ(specs.size(), 8u);  // 2 workloads x 2 budgets x 2 thread counts
   // workload above cache_budget above query_threads, innermost axes.
   EXPECT_EQ(specs[0].workload, "uniform");
   EXPECT_EQ(specs[0].cache_budget, 0u);
@@ -122,14 +121,75 @@ TEST(ScenarioMatrix, OracleAxesExpandParseAndTagIds) {
   EXPECT_THROW(m.set("query-threads", "1,-2"), std::invalid_argument);
 }
 
+// Axes that cannot change a row expand to their first value only, so a
+// sweep never runs (and prints) one scenario twice: without a workload every
+// serving axis is pinned, and a single-oracle row (cluster-shards 0) pins the
+// partitioner.
+TEST(ScenarioMatrix, ExpandSkipsAxesThatCannotChangeTheRow) {
+  const auto expect_unique_ids =
+      [](const std::vector<run::ScenarioSpec>& specs) {
+        for (std::size_t i = 0; i < specs.size(); ++i) {
+          for (std::size_t j = i + 1; j < specs.size(); ++j) {
+            EXPECT_NE(specs[i].id(), specs[j].id()) << i << " vs " << j;
+          }
+        }
+      };
+
+  // nas_run --family grid --n 64 --cache-budget 0,4096: without a workload
+  // the budget cannot matter, so one build, not two.
+  run::ScenarioMatrix probe;
+  probe.set("family", "grid");
+  probe.set("n", "64");
+  probe.set("cache-budget", "0,4096");
+  auto specs = probe.expand();
+  ASSERT_EQ(specs.size(), 1u);
+  EXPECT_EQ(specs[0].cache_budget, 0u);
+
+  // ... --workload uniform --queries 50 --cluster-shards 0,2 --partition
+  // hash,range: the single oracle has no partitioner, so 1 + 2 rows.
+  probe.set("cache-budget", "4096");
+  probe.set("workload", "uniform");
+  probe.set("queries", "50");
+  probe.set("cluster-shards", "0,2");
+  probe.set("partition", "hash,range");
+  specs = probe.expand();
+  ASSERT_EQ(specs.size(), 3u);
+  EXPECT_EQ(specs[0].cluster_shards, 0u);
+  EXPECT_EQ(specs[0].partition, "hash");
+  EXPECT_EQ(specs[1].partition, "hash");
+  EXPECT_EQ(specs[2].partition, "range");
+  expect_unique_ids(specs);
+
+  // Both rules in one sweep: the "off" row takes the first value of every
+  // serving axis, the served rows cross all of them.
+  run::ScenarioMatrix m;
+  m.workloads = {"off", "zipf"};
+  m.cache_budgets = {0, 4096};
+  m.query_threads = {1, 2};
+  m.cluster_shards = {0, 8};
+  m.partitions = {"range", "hash"};
+  m.snapshot_formats = {"none", "v2"};
+  specs = m.expand();
+  ASSERT_EQ(specs.size(), 1u + 2u * 2u * (1u + 2u) * 2u);
+  EXPECT_EQ(specs[0].workload, "off");
+  EXPECT_EQ(specs[0].cache_budget, 0u);
+  EXPECT_EQ(specs[0].query_threads, 1u);
+  EXPECT_EQ(specs[0].cluster_shards, 0u);
+  EXPECT_EQ(specs[0].partition, "range");
+  EXPECT_EQ(specs[0].snapshot_format, "none");
+  expect_unique_ids(specs);
+}
+
 TEST(ScenarioMatrix, SetRejectsUnknownKeysAndBadValues) {
   run::ScenarioMatrix m;
   EXPECT_THROW(m.set("bogus", "1"), std::invalid_argument);
   EXPECT_THROW(m.set("n", "12,abc"), std::invalid_argument);
   EXPECT_THROW(m.set("eps", "0.5x"), std::invalid_argument);
   EXPECT_THROW(m.set("verify-mode", "sometimes"), std::invalid_argument);
-  // Unknown schedule modes fail instead of running the practical schedule.
+  // Unknown schedule modes fail instead of running the practical schedule,
+  // and an unknown algo fails before any scenario runs.
   EXPECT_THROW(m.set("mode", "papr"), std::invalid_argument);
+  EXPECT_THROW(m.set("algo", "em, emm"), std::invalid_argument);
   // Integers outside the field's range fail instead of wrapping
   // (-5 -> n = 4294967291, 2^32 + 64 -> n = 64, 2^32 + 3 -> kappa = 3).
   EXPECT_THROW(m.set("n", "-5"), std::invalid_argument);
@@ -142,6 +202,7 @@ TEST(ScenarioMatrix, SetRejectsUnknownKeysAndBadValues) {
   EXPECT_THROW(m.set("verify-threads", "4294967296"), std::invalid_argument);
   // Nothing above touched the matrix.
   EXPECT_EQ(m.mode, "practical");
+  EXPECT_EQ(m.algos, (std::vector<std::string>{"em"}));
   EXPECT_EQ(m.ns, (std::vector<graph::Vertex>{1024}));
   EXPECT_EQ(m.kappas, (std::vector<int>{3}));
   EXPECT_EQ(m.verify_sources, 16u);
@@ -197,7 +258,8 @@ TEST(ScenarioMatrix, FromFileParsesKeysCommentsAndReportsLines) {
     EXPECT_NE(std::string(e.what()).find(":2"), std::string::npos);
   }
   // Bad values report their line and key.
-  for (const std::string bad : {"verify-threads = -1", "mode = papr"}) {
+  for (const std::string bad :
+       {"verify-threads = -1", "mode = papr", "algo = em, emm"}) {
     {
       std::ofstream out(path);
       out << "family = er\n" << "n = 64\n" << bad << "\n";

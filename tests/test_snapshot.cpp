@@ -339,7 +339,6 @@ TEST(SnapshotAxis, MatrixExpandsInnermostAndIdsNameTheFormat) {
   m.workloads = {"uniform"};
   m.cluster_shards = {0, 2};
   m.snapshot_formats = {"none", "v1", "v2"};
-  ASSERT_EQ(m.size(), 6u);
   const auto specs = m.expand();
   ASSERT_EQ(specs.size(), 6u);
   EXPECT_EQ(specs[0].snapshot_format, "none");

@@ -5,7 +5,6 @@
 #include "apps/snapshot.hpp"
 #include "core/elkin_matar.hpp"
 #include "core/params.hpp"
-#include "graph/bfs_kernel.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "run/scenario.hpp"
@@ -50,10 +49,6 @@ ClusterFlags::ClusterFlags(const Flags& flags) {
       "threads",
       flags.integer("threads", 1,
                     "shard-execution pool slots per batch, 0 = all cores"));
-  bfs_kernel_ = flags.str(
-      "bfs-kernel", "auto",
-      "BFS traversal kernel for every shard: topdown|hybrid|auto (answers "
-      "are byte-identical for every choice)");
 }
 
 serve::ShardedCluster ClusterFlags::make_cluster() const {
@@ -79,11 +74,9 @@ serve::ShardedCluster ClusterFlags::make_cluster() const {
     }
   }
 
-  serve::ClusterOptions options = options_;
-  options.bfs_kernel = graph::parse_bfs_kernel(bfs_kernel_);
   if (!load_spec_.empty()) {
     return serve::ShardedCluster::from_snapshot_files(
-        run::split_list(load_spec_), options);
+        run::split_list(load_spec_), options_);
   }
   const graph::Graph g = family_.rfind("file:", 0) == 0
                              ? graph::read_edge_list_file(family_.substr(5))
@@ -92,7 +85,7 @@ serve::ShardedCluster ClusterFlags::make_cluster() const {
       core::Params::from_mode(mode_, g.num_vertices(), eps_, kappa_, rho_);
   const auto result = core::build_spanner(g, params, {.validate = false});
   return serve::ShardedCluster(result.spanner, params.stretch_multiplicative(),
-                               params.stretch_additive(), options);
+                               params.stretch_additive(), options_);
 }
 
 }  // namespace nas::tools

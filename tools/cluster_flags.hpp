@@ -1,7 +1,7 @@
 // The flags nas_serve and nas_served share: where the serving cluster comes
 // from (--load snapshots, or a graph and schedule to build the spanner
 // from) and how it is sharded and run (--shards --partition --cache-budget
-// --threads --bfs-kernel, plus the --snapshot-format guard).
+// --threads, plus the --snapshot-format guard).
 //
 //   util::Flags flags(argc, argv);
 //   const tools::ClusterFlags cluster_flags(flags);  // before handle_help
@@ -44,10 +44,9 @@ class ClusterFlags {
   int kappa_ = 0;
   double rho_ = 0;
   std::string mode_;
-  serve::ClusterOptions options_;  ///< bfs_kernel is parsed in make_cluster
+  serve::ClusterOptions options_;
   std::string snapshot_format_;
   unsigned threads_ = 1;
-  std::string bfs_kernel_;
 };
 
 }  // namespace nas::tools

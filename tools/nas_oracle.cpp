@@ -20,8 +20,9 @@
 //
 // The answers file has one "u v d" line per request in request order (d is
 // "inf" for disconnected pairs) and is byte-identical at every
-// --query-threads value, every --cache-budget, and every --bfs-kernel —
-// that invariant is CI's cmp gate over this binary.
+// --query-threads value and every --cache-budget — that invariant is CI's
+// cmp gate over this binary, and the nas_oracle_vs_nas_serve ctest compares
+// it with nas_serve's answers.
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -78,10 +79,6 @@ int main(int argc, char** argv) {
     const auto query_threads = util::Flags::in_range<unsigned>(
         "query-threads", flags.integer("query-threads", 1,
                                        "batch-query shards, 0 = all cores"));
-    const std::string bfs_kernel_name = flags.str(
-        "bfs-kernel", "auto",
-        "BFS traversal kernel: topdown|hybrid|auto (answers are "
-        "byte-identical for every choice)");
 
     // Requests: an explicit file, or a generated workload.
     const std::string query_file =
@@ -112,8 +109,7 @@ int main(int argc, char** argv) {
         apps::parse_snapshot_format(snapshot_format_name);
 
     const apps::OracleOptions oracle_options{
-        .cache_budget_bytes = cache_budget,
-        .bfs_kernel = graph::parse_bfs_kernel(bfs_kernel_name)};
+        .cache_budget_bytes = cache_budget};
     util::Timer build_timer;
     apps::SpannerDistanceOracle oracle = [&] {
       if (!load_path.empty()) {

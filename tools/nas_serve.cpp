@@ -19,10 +19,10 @@
 //
 // The answers file has one "u v d" line per request in request order — the
 // same format nas_oracle writes — and is byte-identical at every --shards,
-// --partition, --threads, --cache-budget, and --bfs-kernel value.  CI's
-// serving-cluster gate cmp's it against the nas_oracle output for the same
-// workload.  The cluster flags (tools/cluster_flags.hpp) are the same as
-// nas_served's.
+// --partition, --threads, and --cache-budget value.  CI's serving-cluster
+// gate and the nas_oracle_vs_nas_serve ctest cmp it against the nas_oracle
+// output for the same workload.  The cluster flags (tools/cluster_flags.hpp)
+// are the same as nas_served's.
 #include <fstream>
 #include <iostream>
 #include <string>

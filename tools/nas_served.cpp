@@ -24,11 +24,10 @@
 // the process exits 0.  A second signal exits immediately.
 //
 // Answer lines are byte-identical to nas_oracle/nas_serve for the same
-// requests at every --shards/--partition/--threads/--bfs-kernel value — CI's
-// serving gate replays a workload through bench/serve_latency and cmp's the
-// transcript against the nas_oracle answers file, at several shard counts
-// and BFS kernels.  The cluster flags (tools/cluster_flags.hpp) are the same
-// as nas_serve's.
+// requests at every --shards/--partition/--threads value — CI's serving gate
+// replays a workload through bench/serve_latency and cmp's the transcript
+// against the nas_oracle answers file, at several shard counts.  The cluster
+// flags (tools/cluster_flags.hpp) are the same as nas_serve's.
 #include <atomic>
 #include <csignal>
 #include <fstream>
