@@ -57,13 +57,20 @@ void check_ruling_contract(const Graph& g, const std::vector<Vertex>& w,
 }
 
 /// BuildOptions::cross_check_alg1: the event-driven Algorithm 1 must match
-/// the exact engine-backed reference execution bit-for-bit.  The reference
-/// is verification work, so it is not charged to the run's ledger.
+/// the exact engine-backed reference execution bit-for-bit, knowledge and
+/// message charge alike.  The reference is verification work, so it is not
+/// charged to the run's ledger.
 void check_alg1_reference(const Graph& g, const std::vector<Vertex>& centers,
                           std::uint64_t delta, std::uint64_t cap,
                           const Algorithm1Result& fast, int phase) {
   const Algorithm1Result exact =
       run_algorithm1_exact(g, centers, delta, cap, nullptr);
+  if (fast.messages != exact.messages) {
+    throw std::logic_error(
+        "Algorithm 1 cross-check failed in phase " + std::to_string(phase) +
+        ": " + std::to_string(fast.messages) + " messages charged, the engine"
+        " sent " + std::to_string(exact.messages));
+  }
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
     bool ok = fast.knowledge[v].size() == exact.knowledge[v].size() &&
               fast.popular[v] == exact.popular[v];

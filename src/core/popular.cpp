@@ -1,9 +1,11 @@
 #include "core/popular.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 #include <tuple>
 #include <unordered_set>
+#include <utility>
 
 #include "congest/engine.hpp"
 
@@ -15,18 +17,19 @@ using graph::Vertex;
 
 namespace {
 
-std::uint64_t pair_key(Vertex v, Vertex origin) {
-  return (static_cast<std::uint64_t>(v) << 32) | origin;
-}
-
 void validate(const Graph& g, const std::vector<Vertex>& sources,
               std::uint64_t delta, std::uint64_t cap) {
   if (delta == 0) throw std::invalid_argument("algorithm1: delta == 0");
   if (cap == 0) throw std::invalid_argument("algorithm1: cap == 0");
+  std::vector<std::uint8_t> seen(g.num_vertices(), 0);
   for (Vertex s : sources) {
     if (s >= g.num_vertices()) {
       throw std::invalid_argument("algorithm1: source out of range");
     }
+    if (seen[s] != 0) {
+      throw std::invalid_argument("algorithm1: duplicate source");
+    }
+    seen[s] = 1;
   }
 }
 
@@ -51,55 +54,72 @@ Algorithm1Result run_algorithm1(const Graph& g,
   res.knowledge.resize(n);
   res.popular.assign(n, 0);
 
-  // (vertex, origin) pairs already accepted (or origin == vertex).
-  std::unordered_set<std::uint64_t> known;
-  known.reserve(sources.size() * 4);
+  // Frontier in CSR form: the origins u accepted in the previous layer, in
+  // ascending ID, are fresh[off[u] .. off[u + 1]).  Layer 0: every source
+  // announces itself.
+  std::vector<std::size_t> off(static_cast<std::size_t>(n) + 1, 0);
+  std::vector<Vertex> fresh = sources;
+  std::sort(fresh.begin(), fresh.end());
+  for (Vertex s : fresh) off[s + 1] = 1;
+  std::partial_sum(off.begin(), off.end(), off.begin());
+  std::vector<std::size_t> next_off(off.size(), 0);
+  std::vector<Vertex> next;
 
-  // Frontier: per vertex, the origins accepted in the previous layer that
-  // must be forwarded in this layer.  Layer 0: every source announces itself.
-  std::vector<std::pair<Vertex, std::vector<Vertex>>> frontier;
-  {
-    std::vector<Vertex> sorted_sources = sources;
-    std::sort(sorted_sources.begin(), sorted_sources.end());
-    for (Vertex s : sorted_sources) {
-      known.insert(pair_key(s, s));
-      frontier.push_back({s, {s}});
-    }
-  }
+  // heard[w] == layer: some neighbor of w sends in this layer.
+  std::vector<std::uint64_t> heard(n, 0);
+  // mark[o] == w: receiver w already knows origin o (or o == w), or has
+  // just met it in this layer's scan.  w re-stamps its list before each
+  // scan, since other receivers overwrite the array.  A stamp left from an
+  // earlier scan of w is wrong only for an origin w met and left untaken,
+  // and w leaves a new origin untaken only when its list has just filled,
+  // so it is never a receiver again: wrong stamps are never read.
+  std::vector<Vertex> mark(n, kInvalidVertex);
+  // The receiver's new origins, each with its first (smallest) sender.
+  std::vector<std::pair<Vertex, Vertex>> met;
 
-  // arrival = (receiver, origin, sender); sorted per layer for determinism.
-  std::vector<std::tuple<Vertex, Vertex, Vertex>> arrivals;
-
-  for (std::uint64_t layer = 1; layer <= delta && !frontier.empty(); ++layer) {
-    arrivals.clear();
-    for (const auto& [u, origins] : frontier) {
+  for (std::uint64_t layer = 1; layer <= delta && !fresh.empty(); ++layer) {
+    for (Vertex u = 0; u < n; ++u) {
+      const std::uint64_t k = off[u + 1] - off[u];
+      if (k == 0) continue;
       // Broadcasting k origins over a cap-round layer puts k <= cap messages
       // on each incident edge-direction: the CONGEST window invariant.
-      res.max_edge_layer_load =
-          std::max<std::uint64_t>(res.max_edge_layer_load, origins.size());
-      for (Vertex w : g.neighbors(u)) {
-        for (Vertex o : origins) arrivals.emplace_back(w, o, u);
-      }
-      res.messages += origins.size() * g.degree(u);
+      res.max_edge_layer_load = std::max(res.max_edge_layer_load, k);
+      res.messages += k * g.degree(u);
+      for (Vertex w : g.neighbors(u)) heard[w] = layer;
     }
-    std::sort(arrivals.begin(), arrivals.end());
 
-    std::vector<std::pair<Vertex, std::vector<Vertex>>> next;
-    Vertex current = kInvalidVertex;
-    std::vector<Vertex>* bucket = nullptr;
-    for (const auto& [w, o, u] : arrivals) {
-      if (res.knowledge[w].size() >= cap) continue;  // list full: discard
-      if (!known.insert(pair_key(w, o)).second) continue;  // already known
-      res.knowledge[w].push_back(
-          {.origin = o, .dist = static_cast<std::uint32_t>(layer), .parent = u});
-      if (w != current) {
-        next.push_back({w, {}});
-        bucket = &next.back().second;
-        current = w;
+    next.clear();
+    for (Vertex w = 0; w < n; ++w) {
+      next_off[w] = next.size();
+      std::vector<Knowledge>& list = res.knowledge[w];
+      // A full list discards everything it hears.
+      if (heard[w] != layer || list.size() >= cap) continue;
+      mark[w] = w;
+      for (const Knowledge& k : list) mark[k.origin] = w;
+      met.clear();
+      // Ascending senders, so the first sender of an origin is the smallest.
+      for (Vertex u : g.neighbors(w)) {
+        for (std::size_t i = off[u]; i < off[u + 1]; ++i) {
+          const Vertex o = fresh[i];
+          if (mark[o] == w) continue;
+          mark[o] = w;
+          met.emplace_back(o, u);
+        }
       }
-      bucket->push_back(o);
+      // The smallest new origins fill the free slots; the rest are dropped.
+      const auto take = static_cast<std::ptrdiff_t>(
+          std::min<std::uint64_t>(met.size(), cap - list.size()));
+      std::partial_sort(met.begin(), met.begin() + take, met.end());
+      for (auto it = met.begin(); it != met.begin() + take; ++it) {
+        list.push_back({.origin = it->first,
+                        .dist = static_cast<std::uint32_t>(layer),
+                        .parent = it->second});
+        next.push_back(it->first);
+      }
     }
-    frontier = std::move(next);
+    next_off[n] = next.size();
+    fresh.swap(next);
+    off.swap(next_off);
   }
 
   for (Vertex s : sources) {
@@ -165,11 +185,12 @@ Algorithm1Result run_algorithm1_exact(const Graph& g,
                 });
       pending[v].clear();
       for (const auto& [o, u, d] : buf) {
-        if (d > delta) continue;  // exploration is depth-bounded by δ
         if (res.knowledge[v].size() >= cap) break;
         if (!known[v].insert(o).second) continue;
         res.knowledge[v].push_back({.origin = o, .dist = d, .parent = u});
-        pending[v].push_back(o);
+        // Exploration is depth-bounded by δ: an origin learned at distance δ
+        // is kept but not forwarded.
+        if (d < delta) pending[v].push_back(o);
       }
       buf.clear();
     }
@@ -179,13 +200,11 @@ Algorithm1Result run_algorithm1_exact(const Graph& g,
       for (Vertex u : g.neighbors(v)) mbox.send(u, {.a = o, .b = d});
     }
   };
-  // 1 announcement round + delta layers of cap rounds + 1 boundary round to
-  // process the final layer's arrivals.
+  // 1 announcement round + delta layers of cap rounds + 1 boundary round.
+  // Origins learned at distance δ are not forwarded, so layer delta and the
+  // boundary round send nothing.
   congest::Engine engine(g, ledger);
   res.rounds_charged = engine.run_rounds(delta * cap + 2, program);
-  // Flush the final boundary (the engine already ran it as the last round's
-  // layer_pos == 0 processing only if (delta*cap+1 - 1) % cap == 0, which it
-  // is: round delta*cap+1 begins layer delta+1).
   res.messages = engine.messages_sent();
 
   for (Vertex s : sources) {

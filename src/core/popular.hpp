@@ -24,10 +24,21 @@
 //
 // Two implementations:
 //   * run_algorithm1       — event-driven (layered), fast; charges rounds per
-//                            the schedule above.
+//                            the schedule above and messages per sender as
+//                            (origins forwarded) × degree.  Each layer is a
+//                            receiver-side scan: every vertex that has a
+//                            sending neighbor and a list that is not full
+//                            walks its neighbors in ascending ID over a flat
+//                            array of the senders' new origins, stamps the
+//                            origins it already knows in an n-entry mark
+//                            array, keeps the first sender of each new
+//                            origin as its parent, and takes the smallest
+//                            new origins that fit.  No message is
+//                            materialized: memory is O(n + Σ|knowledge|).
 //   * run_algorithm1_exact — executes on the exact per-round CONGEST engine;
-//                            used by the tests to cross-validate the
-//                            event-driven result bit-for-bit on small inputs.
+//                            used by the tests and the build cross-check to
+//                            validate the event-driven knowledge and message
+//                            count bit-for-bit on small inputs.
 #pragma once
 
 #include <cstdint>
@@ -61,6 +72,8 @@ struct Algorithm1Result {
 
 /// Event-driven execution.  `sources` are the cluster centers S_i; `delta`
 /// and `cap` are δ_i and deg_i.  Rounds are charged to `ledger` if non-null.
+/// Both executions throw std::invalid_argument on delta == 0, cap == 0, or
+/// a source that is out of range or listed twice.
 [[nodiscard]] Algorithm1Result run_algorithm1(
     const graph::Graph& g, const std::vector<graph::Vertex>& sources,
     std::uint64_t delta, std::uint64_t cap,

@@ -10,6 +10,7 @@
 #include "core/popular.hpp"
 #include "graph/bfs.hpp"
 #include "graph/generators.hpp"
+#include "metrics/metrics.hpp"
 
 namespace {
 
@@ -40,6 +41,9 @@ TEST(Algorithm1, ValidatesInputs) {
   EXPECT_THROW(core::run_algorithm1(g, {0}, 0, 1), std::invalid_argument);
   EXPECT_THROW(core::run_algorithm1(g, {0}, 1, 0), std::invalid_argument);
   EXPECT_THROW(core::run_algorithm1(g, {9}, 1, 1), std::invalid_argument);
+  EXPECT_THROW(core::run_algorithm1(g, {0, 0}, 1, 1), std::invalid_argument);
+  EXPECT_THROW(core::run_algorithm1_exact(g, {0, 0}, 1, 1),
+               std::invalid_argument);
 }
 
 TEST(Algorithm1, PathGraphKnowledge) {
@@ -189,6 +193,7 @@ TEST_P(Algorithm1Contract, EventDrivenMatchesExactEngine) {
     }
     EXPECT_EQ(fast.popular[v], exact.popular[v]);
   }
+  EXPECT_EQ(fast.messages, exact.messages);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -201,6 +206,8 @@ INSTANTIATE_TEST_SUITE_P(
                       Alg1Case{"tree", 63, 3, 3, 1},
                       Alg1Case{"hypercube", 64, 2, 6, 1},
                       Alg1Case{"dumbbell", 50, 2, 5, 1},
+                      Alg1Case{"er_dense", 80, 2, 24, 2},
+                      Alg1Case{"geometric", 80, 3, 8, 3},
                       Alg1Case{"er", 300, 2, 6, 1},
                       Alg1Case{"geometric", 200, 3, 5, 2}),
     [](const auto& param_info) {
@@ -222,6 +229,103 @@ TEST(Algorithm1, DeterministicAcrossRuns) {
       EXPECT_EQ(a.knowledge[v][i].origin, b.knowledge[v][i].origin);
       EXPECT_EQ(a.knowledge[v][i].parent, b.knowledge[v][i].parent);
     }
+  }
+}
+
+/// Every list's (origin, dist, parent), then popular, messages and
+/// max_edge_layer_load, folded in vertex order.
+std::uint64_t result_digest(const Algorithm1Result& res) {
+  metrics::Digest d;
+  for (const auto& list : res.knowledge) {
+    d.add(list.size());
+    for (const auto& k : list) {
+      d.add(k.origin);
+      d.add(k.dist);
+      d.add(k.parent);
+    }
+  }
+  for (const std::uint8_t p : res.popular) d.add(p);
+  d.add(res.messages);
+  d.add(res.max_edge_layer_load);
+  return d.value();
+}
+
+/// Receivers whose list filled in a layer that offered more new origins than
+/// it had free slots, recomputed from the result: at layer L a neighbor u
+/// forwards itself (L == 1, u a source) or the origins it learned at L - 1.
+std::size_t mid_layer_fills(const Graph& g, const std::vector<Vertex>& sources,
+                            const Algorithm1Result& res, std::uint64_t cap) {
+  std::vector<std::uint8_t> is_source(g.num_vertices(), 0);
+  for (Vertex s : sources) is_source[s] = 1;
+  std::size_t fills = 0;
+  for (Vertex w = 0; w < g.num_vertices(); ++w) {
+    const auto& list = res.knowledge[w];
+    if (list.size() < cap) continue;
+    const std::uint32_t layer = list.back().dist;
+    std::vector<Vertex> offered;
+    for (Vertex u : g.neighbors(w)) {
+      if (layer == 1 && is_source[u]) offered.push_back(u);
+      for (const auto& k : res.knowledge[u]) {
+        if (k.dist + 1 == layer) offered.push_back(k.origin);
+      }
+    }
+    std::sort(offered.begin(), offered.end());
+    offered.erase(std::unique(offered.begin(), offered.end()), offered.end());
+    std::size_t fresh = 0;
+    std::size_t taken = 0;
+    for (Vertex o : offered) {
+      const auto* k = core::find_knowledge(list, o);
+      if (o != w && (k == nullptr || k->dist == layer)) ++fresh;
+    }
+    for (const auto& k : list) taken += k.dist == layer ? 1 : 0;
+    if (fresh > taken) ++fills;
+  }
+  return fills;
+}
+
+struct PinnedCase {
+  std::string family;
+  graph::Vertex n;
+  std::uint64_t delta;
+  std::uint64_t cap;
+  int center_stride;
+  std::size_t mid_layer_fills;
+  std::uint64_t digest;
+};
+
+// Lists, popularity and message charge at sizes the exact engine cannot
+// reach.  The digests were computed with the tuple-sort execution that the
+// receiver scan replaced; `cap` 500 on geometric is the uncapped EN17 use
+// (cap >= |S|).
+TEST(Algorithm1, PinnedDigestsAtScale) {
+  const std::vector<PinnedCase> cases = {
+      {"geometric", 2000, 4, 8, 1, 1981, 0x4a226f97020380d},
+      {"geometric", 2000, 6, 24, 5, 1821, 0x4e869f77d067fa86},
+      {"geometric", 500, 5, 500, 2, 0, 0x1760ea254aef7a9b},
+      {"dumbbell", 2000, 3, 16, 1, 1604, 0xa2d86a16d8bbf5fa},
+      {"dumbbell", 600, 8, 6, 3, 487, 0x4f5ebba4aafd6d7f},
+      {"er_dense", 2000, 2, 24, 1, 1944, 0xd4cf83fd49287a0a},
+      {"er_dense", 1000, 3, 60, 4, 1000, 0xbfb30f3c23e54c6f},
+      {"ba", 2000, 3, 12, 1, 1979, 0x1720d62f55336193},
+      {"ba", 1200, 4, 40, 6, 1192, 0xd9952d65cde5bc9},
+      {"grid", 2000, 10, 20, 1, 1780, 0x1160f1f6872dfe55},
+      {"grid", 900, 12, 6, 7, 261, 0x1d5767bf936da60},
+  };
+  for (const auto& tc : cases) {
+    const Graph g = graph::make_workload(tc.family, tc.n, 43);
+    std::vector<Vertex> sources;
+    for (Vertex v = 0; v < g.num_vertices(); v += tc.center_stride) {
+      sources.push_back(v);
+    }
+    const auto res = core::run_algorithm1(g, sources, tc.delta, tc.cap);
+    const std::size_t fills = mid_layer_fills(g, sources, res, tc.cap);
+    const std::uint64_t digest = result_digest(res);
+    EXPECT_EQ(fills, tc.mid_layer_fills) << tc.family << " n=" << tc.n;
+    EXPECT_EQ(digest, tc.digest)
+        << tc.family << " n=" << tc.n << " actual {\"" << tc.family << "\", "
+        << tc.n << ", " << tc.delta << ", " << tc.cap << ", "
+        << tc.center_stride << ", " << fills << ", 0x" << std::hex << digest
+        << std::dec << "},";
   }
 }
 
