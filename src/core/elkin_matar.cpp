@@ -57,14 +57,20 @@ void check_ruling_contract(const Graph& g, const std::vector<Vertex>& w,
 }
 
 /// BuildOptions::cross_check_alg1: the event-driven Algorithm 1 must match
-/// the exact engine-backed reference execution bit-for-bit, knowledge and
-/// message charge alike.  The reference is verification work, so it is not
-/// charged to the run's ledger.
+/// the exact engine-backed reference execution bit-for-bit, knowledge, round
+/// and message charge alike.  The reference is verification work, so it is
+/// not charged to the run's ledger.
 void check_alg1_reference(const Graph& g, const std::vector<Vertex>& centers,
                           std::uint64_t delta, std::uint64_t cap,
                           const Algorithm1Result& fast, int phase) {
   const Algorithm1Result exact =
       run_algorithm1_exact(g, centers, delta, cap, nullptr);
+  if (fast.rounds_charged != exact.rounds_charged) {
+    throw std::logic_error(
+        "Algorithm 1 cross-check failed in phase " + std::to_string(phase) +
+        ": " + std::to_string(fast.rounds_charged) + " rounds charged, the"
+        " engine ran " + std::to_string(exact.rounds_charged));
+  }
   if (fast.messages != exact.messages) {
     throw std::logic_error(
         "Algorithm 1 cross-check failed in phase " + std::to_string(phase) +

@@ -200,11 +200,11 @@ Algorithm1Result run_algorithm1_exact(const Graph& g,
       for (Vertex u : g.neighbors(v)) mbox.send(u, {.a = o, .b = d});
     }
   };
-  // 1 announcement round + delta layers of cap rounds + 1 boundary round.
-  // Origins learned at distance δ are not forwarded, so layer delta and the
-  // boundary round send nothing.
+  // 1 announcement round + delta layers of cap rounds, the event-driven
+  // charge.  Origins learned at distance δ are not forwarded, so layer delta
+  // only takes in the last arrivals and sends nothing.
   congest::Engine engine(g, ledger);
-  res.rounds_charged = engine.run_rounds(delta * cap + 2, program);
+  res.rounds_charged = engine.run_rounds(delta * cap + 1, program);
   res.messages = engine.messages_sent();
 
   for (Vertex s : sources) {

@@ -79,8 +79,9 @@ struct Algorithm1Result {
     std::uint64_t delta, std::uint64_t cap,
     congest::Ledger* ledger = nullptr);
 
-/// Exact reference on congest::Engine (δ·cap+2 real simulated rounds); used
-/// by the tests and by build_spanner's cross-check mode.
+/// Exact reference on congest::Engine (1 + δ·cap real simulated rounds, the
+/// event-driven charge); used by the tests and by build_spanner's
+/// cross-check mode.
 [[nodiscard]] Algorithm1Result run_algorithm1_exact(
     const graph::Graph& g, const std::vector<graph::Vertex>& sources,
     std::uint64_t delta, std::uint64_t cap,

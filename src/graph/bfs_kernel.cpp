@@ -1,18 +1,24 @@
 #include "graph/bfs_kernel.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 namespace nas::graph {
 
 namespace {
 
-// Beamer-style switch thresholds.  Top-down -> bottom-up when the edges out
-// of the current frontier exceed the edges still adjacent to unvisited
-// vertices divided by kAlpha; bottom-up -> top-down when the frontier drops
-// below n / kBeta vertices.  The classic paper values (14, 24) carry over
-// unchanged: the repo's families (er, ba, grid, ...) sit squarely in the
-// regimes they were tuned for, and correctness never depends on them.
+// Beamer-style switch thresholds, at the paper's values (14, 24).  Top-down
+// -> bottom-up needs the edges out of the current frontier to exceed the
+// edges still adjacent to unvisited vertices divided by kAlpha; bottom-up ->
+// top-down happens when the frontier drops below n / kBeta vertices.  The
+// alpha test alone is tuned for low-diameter graphs whose frontier takes in
+// the rest of the graph within a level or two.  On geometric, hypercube and
+// caveman graphs it passes on frontiers that grow slowly, and every
+// bottom-up level then rescans each unvisited vertex's whole adjacency.  So
+// run() also asks that the next level leave fewer unvisited edges than the
+// frontier holds (see next_level_estimate).  Correctness never depends on
+// any of this.
 constexpr std::uint64_t kAlpha = 14;
 constexpr std::uint64_t kBeta = 24;
 
@@ -22,6 +28,21 @@ constexpr std::uint64_t kBeta = 24;
 // (er ~8, er_dense ~32, ba ~6 qualify; grid = 4, path/tree do not) is the
 // whole heuristic — deterministic, O(1), no measurement involved.
 constexpr std::uint64_t kAutoDegree = 5;
+
+// Edges out of the next level, extrapolated from the frontier's growth:
+// m_f^2 / m_prev, where m_f and m_prev are the edges out of the current and
+// the previous level, capped at the m_u edges still unvisited.  m_prev >= 1:
+// a level is non-empty only if the level before it has an edge into it.
+// When m_f^2 would overflow (a frontier of 2^32 edges or more) the next
+// level is taken to swallow the remainder.
+inline std::uint64_t next_level_estimate(std::uint64_t m_f,
+                                         std::uint64_t m_prev,
+                                         std::uint64_t m_u) {
+  if (m_f != 0 && m_f > std::numeric_limits<std::uint64_t>::max() / m_f) {
+    return m_u;
+  }
+  return std::min(m_u, m_f * m_f / m_prev);
+}
 
 inline void set_bit(std::vector<std::uint64_t>& bits, Vertex v) {
   bits[v >> 6] |= std::uint64_t{1} << (v & 63U);
@@ -90,6 +111,7 @@ void BfsScratch::run(const Csr& g, Vertex source, BfsKernel kernel,
   const std::uint64_t total_directed = g.entries().size();
   std::uint64_t visited_degree = g.degree(source);  // deg sum over visited
   std::uint64_t level_degree = visited_degree;      // edges out of this level
+  std::uint64_t prev_degree = 1;  // edges out of the level before; 1 at first
   std::uint64_t edges_inspected = 0;
   std::uint32_t top_down_levels = 0;
   std::uint32_t bottom_up_levels = 0;
@@ -103,11 +125,14 @@ void BfsScratch::run(const Csr& g, Vertex source, BfsKernel kernel,
 
     if (resolved == BfsKernel::kHybrid) {
       if (!bottom_up) {
-        // Both sums were accumulated while this frontier was generated
+        // The sums were accumulated while this frontier was generated
         // (Csr offsets are the degree prefix, so each discovered vertex
         // added its degree in O(1)) — the switch decision is O(1) here.
         const std::uint64_t unvisited_degree = total_directed - visited_degree;
-        if (level_degree > unvisited_degree / kAlpha) bottom_up = true;
+        const std::uint64_t next_degree =
+            next_level_estimate(level_degree, prev_degree, unvisited_degree);
+        bottom_up = level_degree > unvisited_degree / kAlpha &&
+                    unvisited_degree - next_degree < level_degree;
       } else if (level_end - level_begin < n / kBeta) {
         bottom_up = false;
       }
@@ -168,6 +193,7 @@ void BfsScratch::run(const Csr& g, Vertex source, BfsKernel kernel,
     }
 
     level_begin = level_end;
+    prev_degree = level_degree;
     level_degree = next_level_degree;
     ++depth;
   }

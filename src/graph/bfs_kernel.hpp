@@ -13,12 +13,17 @@
 //                touches most of the edge set and top-down would inspect
 //                nearly all 2m directed entries just to rediscover it.
 //
-// Switch heuristics (the standard frontier-edge-count rules): go bottom-up
-// when the edges out of the next frontier exceed the unexplored remainder
-// divided by kAlpha; return top-down when the frontier shrinks below
-// n / kBeta.  Both degree sums are accumulated while the frontier is built —
-// the Csr offset array is the degree prefix, so each discovered vertex adds
-// its degree in O(1) and the per-level switch decision is O(1).
+// Switch heuristics: go bottom-up when the edges out of the frontier (m_f)
+// exceed the unvisited remainder (m_u) divided by kAlpha, Beamer's rule, and
+// the next level, extrapolated from the frontier's growth as
+// m^ = min(m_u, m_f^2 / m_prev), would leave fewer unvisited edges than the
+// frontier holds (m_u - m^ < m_f).  A bottom-up level inspects every edge
+// of each unvisited vertex with no frontier neighbor, so it only pays once
+// the next level takes in nearly all of the rest.  Return top-down when the
+// frontier shrinks below n / kBeta.  The degree sums are accumulated while
+// the frontier is built — the Csr offset array is the degree prefix, so each
+// discovered vertex adds its degree in O(1) and the per-level switch
+// decision is O(1).
 //
 // Determinism: the kernel exposes *distances only*.  BFS level membership is
 // a property of the graph, not of the traversal order, so every kernel —

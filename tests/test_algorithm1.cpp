@@ -194,6 +194,7 @@ TEST_P(Algorithm1Contract, EventDrivenMatchesExactEngine) {
     EXPECT_EQ(fast.popular[v], exact.popular[v]);
   }
   EXPECT_EQ(fast.messages, exact.messages);
+  EXPECT_EQ(fast.rounds_charged, exact.rounds_charged);
 }
 
 INSTANTIATE_TEST_SUITE_P(

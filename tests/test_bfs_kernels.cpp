@@ -11,6 +11,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -136,6 +137,22 @@ TEST(BfsKernel, StatsCountLevelsAndEdges) {
   // actually switch, and switching must save work.
   EXPECT_GT(hybrid.bottom_up_levels, 0u);
   EXPECT_LT(hybrid.edges_inspected, topdown.edges_inspected);
+
+  // A frontier that passes the alpha test but will not take in the rest of
+  // the graph next level must stay top-down: on geometric graphs (where
+  // auto runs hybrid) and hypercubes, going bottom-up there inspects more
+  // edges than top-down does.
+  const std::array<std::tuple<const char*, Vertex, BfsKernel>, 2> no_worse = {{
+      {"geometric", 2000, BfsKernel::kAuto},
+      {"hypercube", 1024, BfsKernel::kHybrid},
+  }};
+  for (const auto& [family, n, kernel] : no_worse) {
+    const auto g = Csr::from_graph(graph::make_workload(family, n, 3));
+    BfsKernelStats base, tried;
+    scratch.run(g, 0, BfsKernel::kTopDown, &base);
+    scratch.run(g, 0, kernel, &tried);
+    EXPECT_LE(tried.edges_inspected, base.edges_inspected) << family;
+  }
 
   // Serving always runs kAuto, so pin what it resolves to: hybrid on the
   // hub-heavy families (where it does go bottom-up), top-down on the flat
