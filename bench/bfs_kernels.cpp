@@ -12,16 +12,23 @@
 //   ./bfs_kernels [--family er,er_dense,ba,grid] [--n 4000,16000] [--seed 1]
 //       [--sources 16] [--json BENCH_bfs.json]
 //
-// Two gates make the run self-checking (nonzero exit on violation):
+// It also runs the targeted search the oracle uses for sources it does not
+// cache: the auto run from each source stopped at the next source and the
+// one half the list away ("targets" rows).
+//
+// Gates make the run self-checking (nonzero exit on violation):
 //   * identity — every kernel's distance array is byte-identical to
 //     top-down's for every source (distances are level structure, not
-//     traversal order, so any divergence is a kernel bug);
+//     traversal order, so any divergence is a kernel bug), and every
+//     targeted search's distances equal top-down's;
 //   * work — on the ba and er families (hub-heavy / average degree ~8, the
 //     shapes direction-optimizing targets) hybrid must inspect no more
 //     edges than top-down; and on er, er_dense, ba, grid, geometric and
 //     hypercube, auto (what serving and verification run) must inspect no
 //     more edges than top-down, so a switch that goes bottom-up on a
-//     frontier that is not about to take in the rest of the graph fails.
+//     frontier that is not about to take in the rest of the graph fails;
+//   * targeted work — on every family, each stopped run inspects no more
+//     edges than the full auto pass from its source.
 #include <algorithm>
 #include <array>
 #include <cstdint>
@@ -82,10 +89,18 @@ struct KernelRow {
   graph::Vertex n = 0;
   std::size_t m = 0;
   graph::BfsKernel kernel = graph::BfsKernel::kTopDown;
+  std::string search = "full";  ///< "full" | "targets"
   graph::BfsKernelStats stats;
   double wall_ms = 0.0;
   bool identical = true;
 };
+
+void add_stats(graph::BfsKernelStats& total,
+               const graph::BfsKernelStats& run) {
+  total.edges_inspected += run.edges_inspected;
+  total.top_down_levels += run.top_down_levels;
+  total.bottom_up_levels += run.bottom_up_levels;
+}
 
 }  // namespace
 
@@ -125,6 +140,7 @@ int main(int argc, char** argv) {
   std::vector<KernelRow> rows;
   bool all_identical = true;
   bool work_gate_ok = true;
+  bool targeted_work_ok = true;
   for (const auto& family : family_list) {
     for (const auto n : n_list) {
       const auto g = graph::make_workload(family, n, seed);
@@ -134,15 +150,22 @@ int main(int argc, char** argv) {
                 << sources.size() << " sources)\n";
 
       // Reference distances: one top-down array per source; hybrid and auto
-      // must reproduce each byte-for-byte.
+      // must reproduce each byte-for-byte.  The per-source edge counts of
+      // auto bound the stopped runs.
       std::vector<std::vector<std::uint32_t>> reference;
+      std::vector<std::uint64_t> auto_pass;
       std::uint64_t topdown_edges = 0;
-      for (const auto kernel : kKernels) {
+      const auto new_row = [&](graph::BfsKernel kernel, const char* search) {
         KernelRow row;
         row.family = family;
         row.n = g.num_vertices();
         row.m = g.num_edges();
         row.kernel = kernel;
+        row.search = search;
+        return row;
+      };
+      for (const auto kernel : kKernels) {
+        KernelRow row = new_row(kernel, "full");
         graph::BfsScratch scratch;
         std::vector<std::uint32_t> dist(g.num_vertices());
         util::Timer timer;
@@ -150,13 +173,14 @@ int main(int argc, char** argv) {
           graph::BfsKernelStats stats;
           graph::bfs_kernel_into(csr, sources[i], dist, scratch, kernel,
                                  &stats);
-          row.stats.edges_inspected += stats.edges_inspected;
-          row.stats.top_down_levels += stats.top_down_levels;
-          row.stats.bottom_up_levels += stats.bottom_up_levels;
+          add_stats(row.stats, stats);
           if (kernel == graph::BfsKernel::kTopDown) {
             reference.push_back(dist);
           } else if (dist != reference[i]) {
             row.identical = false;
+          }
+          if (kernel == graph::BfsKernel::kAuto) {
+            auto_pass.push_back(stats.edges_inspected);
           }
         }
         row.wall_ms = timer.millis();
@@ -169,14 +193,35 @@ int main(int argc, char** argv) {
         all_identical = all_identical && row.identical;
         rows.push_back(row);
       }
+
+      // The stopped runs, with targets taken from the source list.
+      KernelRow stopped = new_row(graph::BfsKernel::kAuto, "targets");
+      graph::BfsScratch scratch;
+      util::Timer stopped_timer;
+      for (std::size_t i = 0; i < sources.size(); ++i) {
+        const std::vector<graph::Vertex> targets{
+            sources[(i + 1) % sources.size()],
+            sources[(i + sources.size() / 2) % sources.size()]};
+        graph::BfsKernelStats stats;
+        scratch.run(csr, sources[i], targets, graph::BfsKernel::kAuto, &stats);
+        for (const auto t : targets) {
+          if (scratch.distance(t) != reference[i][t]) stopped.identical = false;
+        }
+        targeted_work_ok =
+            targeted_work_ok && stats.edges_inspected <= auto_pass[i];
+        add_stats(stopped.stats, stats);
+      }
+      stopped.wall_ms = stopped_timer.millis();
+      all_identical = all_identical && stopped.identical;
+      rows.push_back(stopped);
     }
   }
 
-  util::Table t({"family", "n", "kernel", "edges inspected", "td lvls",
-                 "bu lvls", "ms", "identical"});
+  util::Table t({"family", "n", "kernel", "search", "edges inspected",
+                 "td lvls", "bu lvls", "ms", "identical"});
   for (const auto& row : rows) {
     t.add_row({row.family, std::to_string(row.n),
-               graph::bfs_kernel_name(row.kernel),
+               graph::bfs_kernel_name(row.kernel), row.search,
                std::to_string(row.stats.edges_inspected),
                std::to_string(row.stats.top_down_levels),
                std::to_string(row.stats.bottom_up_levels),
@@ -185,16 +230,22 @@ int main(int argc, char** argv) {
   }
   std::cout << "\n";
   t.print(std::cout);
-  std::cout << "\nidentity gate: every kernel's distances match top-down's "
-               "byte-for-byte; work gate: hybrid edges <= topdown on ba/er, "
-               "auto edges <= topdown on "
-               "er/er_dense/ba/grid/geometric/hypercube.\n";
+  std::cout << "\nidentity gate: every kernel's distances, and every "
+               "stopped run's, match top-down's byte-for-byte; work gate: "
+               "hybrid edges <= topdown on ba/er, auto edges <= topdown on "
+               "er/er_dense/ba/grid/geometric/hypercube; targeted work "
+               "gate: per source, targets <= the auto pass.\n";
   if (!all_identical) {
-    std::cout << "ERROR: a kernel's distance array diverged from top-down.\n";
+    std::cout << "ERROR: a kernel's or a stopped run's distances diverged "
+                 "from top-down.\n";
   }
   if (!work_gate_ok) {
     std::cout << "ERROR: hybrid or auto inspected more edges than top-down "
                  "on a gated family.\n";
+  }
+  if (!targeted_work_ok) {
+    std::cout << "ERROR: a stopped run inspected more edges than the "
+                 "full auto pass from its source.\n";
   }
 
   if (!json_path.empty()) {
@@ -206,6 +257,7 @@ int main(int argc, char** argv) {
           {"n", util::JsonValue::number(static_cast<std::uint64_t>(row.n))},
           {"m", util::JsonValue::number(static_cast<std::uint64_t>(row.m))},
           {"kernel", util::JsonValue::str(graph::bfs_kernel_name(row.kernel))},
+          {"search", util::JsonValue::str(row.search)},
           {"sources", util::JsonValue::number(num_sources)},
           {"edges_inspected",
            util::JsonValue::number(row.stats.edges_inspected)},
@@ -234,5 +286,5 @@ int main(int argc, char** argv) {
     std::cout << "wrote " << rows.size() << " rows to " << json_path << "\n";
   }
 
-  return all_identical && work_gate_ok ? 0 : 1;
+  return all_identical && work_gate_ok && targeted_work_ok ? 0 : 1;
 }

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "graph/bfs_kernel.hpp"
@@ -84,57 +84,49 @@ void SpannerDistanceOracle::check_vertex(Vertex v) const {
   }
 }
 
-void SpannerDistanceOracle::cache_insert(Vertex s,
-                                         std::vector<std::uint32_t>&& dist) const {
-  if (capacity_ == 0) return;
-  cache_[s] = CacheEntry{std::move(dist), clock_};
-  while (cache_.size() > capacity_) {
-    // Deterministic LRU: oldest logical clock first, ties broken towards the
-    // smallest source ID.  A linear scan — the capacity bounds the cost, and
-    // cache state stays a pure function of the query history.
-    auto victim = cache_.begin();
-    for (auto it = std::next(cache_.begin()); it != cache_.end(); ++it) {
-      if (it->second.last_used < victim->second.last_used ||
-          (it->second.last_used == victim->second.last_used &&
-           it->first < victim->first)) {
-        victim = it;
-      }
-    }
-    cache_.erase(victim);
-    ++evictions_;
+bool SpannerDistanceOracle::touch(Vertex s, CacheEntry& entry) const {
+  if (entry.last_used == clock_) return false;
+  auto node = lru_.extract({entry.last_used, s});  // re-keyed, not reallocated
+  node.value().first = clock_;
+  lru_.insert(std::move(node));
+  entry.last_used = clock_;
+  return true;
+}
+
+std::vector<std::uint32_t> SpannerDistanceOracle::evict_oldest() const {
+  const Vertex victim = lru_.begin()->second;
+  lru_.erase(lru_.begin());
+  const auto it = cache_.find(victim);
+  std::vector<std::uint32_t> row = std::move(it->second.dist);
+  cache_.erase(it);
+  ++evictions_;
+  return row;
+}
+
+bool SpannerDistanceOracle::recently_refused(Vertex s) const {
+  return !refused_member_.empty() && refused_member_[s];
+}
+
+void SpannerDistanceOracle::remember_refusal(Vertex s) const {
+  const std::uint64_t ring =
+      std::min<std::uint64_t>(capacity_, csr_.num_vertices());
+  if (ring == 0 || recently_refused(s)) return;
+  if (refused_member_.empty()) {
+    refused_member_.assign(csr_.num_vertices(), false);
   }
+  if (refused_.size() < ring) {
+    refused_.push_back(s);
+  } else {
+    refused_member_[refused_[refused_next_]] = false;
+    refused_[refused_next_] = s;
+    refused_next_ = (refused_next_ + 1) % ring;
+  }
+  refused_member_[s] = true;
 }
 
 std::uint32_t SpannerDistanceOracle::query(Vertex u, Vertex v) const {
-  check_vertex(u);
-  check_vertex(v);
-  if (u == v) return 0;
-  // Prefer a cached side; otherwise BFS from the smaller endpoint so (u,v)
-  // and (v,u) share one pass.
-  Vertex s = std::min(u, v);
-  if (cache_.count(u) != 0) {
-    s = u;
-  } else if (cache_.count(v) != 0) {
-    s = v;
-  }
-  const Vertex t = s == u ? v : u;
-  ++clock_;
-  const auto it = cache_.find(s);
-  if (it != cache_.end()) {
-    it->second.last_used = clock_;
-    return it->second.dist[t];
-  }
-  scratch_.run(csr_, s);
-  ++bfs_passes_;
-  const auto answer = scratch_.distance(t);
-  if (capacity_ > 0) {
-    // Materialize the row for the cache only when the budget can hold it —
-    // a cache-disabled oracle answers straight from the scratch.
-    std::vector<std::uint32_t> dist(csr_.num_vertices());
-    scratch_.copy_distances(dist);
-    cache_insert(s, std::move(dist));
-  }
-  return answer;
+  const Query request{u, v};
+  return batch_query(std::span<const Query>(&request, 1)).front();
 }
 
 std::vector<std::uint32_t> SpannerDistanceOracle::batch_query(
@@ -143,79 +135,143 @@ std::vector<std::uint32_t> SpannerDistanceOracle::batch_query(
     check_vertex(q.u);
     check_vertex(q.v);
   }
+  const Vertex n = csr_.num_vertices();
+  const auto evictions_before = evictions_;
+  ++clock_;  // the whole batch is one logical-clock tick
 
-  // Plan (serial): pick one BFS source per request — a cached endpoint when
-  // available, else the smaller ID — and deduplicate the uncached sources in
-  // first-appearance order.  Cache state is deterministic, so the plan is
-  // a pure function of the query history.
-  std::vector<Vertex> source_of(queries.size(), graph::kInvalidVertex);
+  // Plan (serial): pick one source per request — a cached endpoint when
+  // available, else the smaller ID.  Hits are answered and marked used
+  // now; the missed sources are deduplicated in first-appearance order.
+  constexpr std::size_t kNoSearch = static_cast<std::size_t>(-1);
+  std::vector<std::uint32_t> answers(queries.size(), 0);
+  std::vector<std::size_t> search_of(queries.size(), kNoSearch);
   std::vector<Vertex> missing;
   std::unordered_map<Vertex, std::size_t> missing_index;
-  // Hit sources are *iterated* below (refresh pass), so they live in a
-  // first-appearance vector; the unordered set only answers membership.
-  std::vector<Vertex> hit_sources;
-  std::unordered_set<Vertex> hit_seen;
+  std::uint64_t hits = 0;
   for (std::size_t i = 0; i < queries.size(); ++i) {
     const auto [u, v] = queries[i];
     if (u == v) continue;
-    Vertex s = std::min(u, v);
-    if (cache_.count(u) != 0) {
-      s = u;
-    } else if (cache_.count(v) != 0) {
-      s = v;
+    auto hit = cache_.find(u);
+    Vertex t = v;
+    if (hit == cache_.end()) {
+      hit = cache_.find(v);
+      t = u;
     }
-    source_of[i] = s;
-    if (cache_.count(s) != 0) {
-      if (hit_seen.insert(s).second) hit_sources.push_back(s);
-    } else if (missing_index.emplace(s, missing.size()).second) {
-      missing.push_back(s);
+    if (hit != cache_.end()) {
+      answers[i] = hit->second.dist[t];
+      if (touch(hit->first, hit->second)) ++hits;
+      continue;
+    }
+    const auto [at, fresh] =
+        missing_index.emplace(std::min(u, v), missing.size());
+    if (fresh) missing.push_back(at->first);
+    search_of[i] = at->second;
+  }
+
+  // Each missed source's targets, grouped by source in request order:
+  // search j asks for targets[first_target[j], first_target[j + 1]).
+  std::vector<std::size_t> first_target(missing.size() + 1, 0);
+  for (const std::size_t j : search_of) {
+    if (j != kNoSearch) ++first_target[j + 1];
+  }
+  std::partial_sum(first_target.begin(), first_target.end(),
+                   first_target.begin());
+  std::vector<Vertex> targets(first_target.back());
+  std::vector<std::size_t> slot_of(queries.size());
+  {
+    std::vector<std::size_t> next(first_target.begin(), first_target.end() - 1);
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      const std::size_t j = search_of[i];
+      if (j == kNoSearch) continue;
+      slot_of[i] = next[j]++;
+      targets[slot_of[i]] =
+          queries[i].u == missing[j] ? queries[i].v : queries[i].u;
     }
   }
 
-  // BFS the uncached sources, sharded across the pool.  Every worker writes
-  // only its own sources' slots and owns one reused BfsScratch, so the
-  // filled distance vectors are identical at any thread count.  The workers
-  // stream the shared CSR arrays read-only.
-  std::vector<std::vector<std::uint32_t>> fresh(missing.size());
+  // Admission (serial): a missed source gets a cached row into a free slot
+  // (counting rows admitted earlier in this batch), or when it was refused
+  // recently and an entry older than this batch can make room — that
+  // entry is evicted now and its row storage reused.  Every other miss is
+  // refused a row and gets a BFS stopped at the level of its last target.
+  std::vector<std::vector<std::uint32_t>> rows(missing.size());
+  std::vector<std::uint8_t> admitted(missing.size(), 0);
+  std::uint64_t free_slots = capacity_ - cache_.size();
+  std::uint64_t older = cache_.size() - hits;
+  for (std::size_t j = 0; j < missing.size(); ++j) {
+    if (free_slots > 0) {
+      --free_slots;
+      admitted[j] = 1;
+    } else if (older > 0 && recently_refused(missing[j])) {
+      --older;
+      admitted[j] = 1;
+      rows[j] = evict_oldest();
+    } else {
+      remember_refusal(missing[j]);
+    }
+  }
+
+  // Search the missed sources, sharded across the pool.  Each slot owns
+  // one kept scratch and writes only its own sources' rows, target
+  // distances and edge counts, so every result is independent of the slot
+  // count.  The workers stream the shared CSR arrays read-only.
+  std::vector<std::uint32_t> target_dist(targets.size());
+  std::vector<std::uint64_t> edges(missing.size(), 0);
+  const auto search = [&](std::size_t j, graph::BfsScratch& scratch) {
+    const std::span<const Vertex> want(targets.data() + first_target[j],
+                                       first_target[j + 1] - first_target[j]);
+    const auto got = target_dist.begin() +
+                     static_cast<std::ptrdiff_t>(first_target[j]);
+    graph::BfsKernelStats kernel_stats;
+    if (admitted[j] != 0) {
+      scratch.run(csr_, missing[j], graph::BfsKernel::kAuto, &kernel_stats);
+      rows[j].resize(n);
+      scratch.copy_distances(rows[j]);
+    } else {
+      scratch.run(csr_, missing[j], want, graph::BfsKernel::kAuto,
+                  &kernel_stats);
+    }
+    std::transform(want.begin(), want.end(), got,
+                   [&](Vertex t) { return scratch.distance(t); });
+    edges[j] = kernel_stats.edges_inspected;
+  };
+  const unsigned slots = util::ThreadPool::resolve(threads, missing.size());
+  if (scratches_.size() < slots) scratches_.resize(slots);
   util::ThreadPool::run_sharded(
-      missing.size(), threads, [&](std::size_t begin, std::size_t end) {
-        graph::BfsScratch scratch;
-        for (std::size_t i = begin; i < end; ++i) {
-          fresh[i].resize(csr_.num_vertices());
-          graph::bfs_kernel_into(csr_, missing[i], fresh[i], scratch);
+      slots, slots, [&](std::size_t slot_begin, std::size_t slot_end) {
+        for (std::size_t slot = slot_begin; slot < slot_end; ++slot) {
+          const auto [begin, end] = util::ThreadPool::shard(
+              missing.size(), slots, static_cast<unsigned>(slot));
+          for (std::size_t j = begin; j < end; ++j) {
+            search(j, scratches_[slot]);
+          }
         }
       });
   bfs_passes_ += missing.size();
 
-  // Answer in request order (serial).
-  std::vector<std::uint32_t> answers(queries.size(), 0);
+  // Answer the misses in request order, then cache the admitted rows in
+  // first-appearance order (serial, deterministic).
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    const Vertex s = source_of[i];
-    if (s == graph::kInvalidVertex) continue;  // u == v
-    const Vertex t = s == queries[i].u ? queries[i].v : queries[i].u;
-    const auto hit = cache_.find(s);
-    answers[i] = hit != cache_.end() ? hit->second.dist[t]
-                                     : fresh[missing_index.at(s)][t];
+    if (search_of[i] != kNoSearch) answers[i] = target_dist[slot_of[i]];
   }
-
-  // Cache maintenance (serial, deterministic): the whole batch counts as one
-  // logical-clock tick; touched entries are refreshed in first-appearance
-  // order, the fresh sources are inserted in first-appearance order, and
-  // eviction trims to the budget.
-  ++clock_;
-  for (const Vertex s : hit_sources) cache_.at(s).last_used = clock_;
-  const auto evictions_before = evictions_;
-  for (std::size_t i = 0; i < missing.size(); ++i) {
-    cache_insert(missing[i], std::move(fresh[i]));
+  std::uint64_t rows_built = 0;
+  for (std::size_t j = 0; j < missing.size(); ++j) {
+    if (admitted[j] == 0) continue;
+    cache_.emplace(missing[j], CacheEntry{std::move(rows[j]), clock_});
+    lru_.emplace(clock_, missing[j]);
+    ++rows_built;
   }
 
   if (stats != nullptr) {
     stats->queries = queries.size();
-    stats->distinct_sources = hit_sources.size() + missing.size();
-    stats->cache_hits = hit_sources.size();
+    stats->distinct_sources = hits + missing.size();
+    stats->cache_hits = hits;
     stats->bfs_passes = missing.size();
     stats->evictions = evictions_ - evictions_before;
-    stats->shards = util::ThreadPool::resolve(threads, missing.size());
+    stats->edges_inspected = 0;
+    for (const auto e : edges) stats->edges_inspected += e;
+    stats->row_bytes = rows_built * n * sizeof(std::uint32_t);
+    stats->shards = slots;
   }
   return answers;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace nas::graph {
 
@@ -81,6 +82,24 @@ void BfsScratch::resize(Vertex n) {
 
 void BfsScratch::run(const Csr& g, Vertex source, BfsKernel kernel,
                      BfsKernelStats* stats) {
+  run_levels(g, source, kernel, stats, {}, false);
+}
+
+void BfsScratch::run(const Csr& g, Vertex source,
+                     std::span<const Vertex> targets, BfsKernel kernel,
+                     BfsKernelStats* stats) {
+  for (const Vertex t : targets) {
+    if (t >= g.num_vertices()) {
+      throw std::invalid_argument("bfs_kernel: target out of range");
+    }
+  }
+  run_levels(g, source, kernel, stats, targets, true);
+}
+
+void BfsScratch::run_levels(const Csr& g, Vertex source, BfsKernel kernel,
+                            BfsKernelStats* stats,
+                            std::span<const Vertex> targets,
+                            bool stop_at_targets) {
   const Vertex n = g.num_vertices();
   if (source >= n) {
     throw std::invalid_argument("bfs_kernel: source out of range");
@@ -119,8 +138,18 @@ void BfsScratch::run(const Csr& g, Vertex source, BfsKernel kernel,
   std::size_t level_begin = 0;
   bool bottom_up = false;
   bool bits_valid = false;  // front_bits_ mirrors the current level slice
+  std::size_t targets_reached = 0;  // targets[0, targets_reached) are marked
 
   while (level_begin < frontier_.size()) {
+    if (stop_at_targets) {
+      // Between levels only: every target reached so far holds its final
+      // distance, and the level loops below stay the full run's.
+      while (targets_reached < targets.size() &&
+             mark_[targets[targets_reached]] == epoch_) {
+        ++targets_reached;
+      }
+      if (targets_reached == targets.size()) break;
+    }
     const std::size_t level_end = frontier_.size();
 
     if (resolved == BfsKernel::kHybrid) {
@@ -197,6 +226,7 @@ void BfsScratch::run(const Csr& g, Vertex source, BfsKernel kernel,
     level_degree = next_level_degree;
     ++depth;
   }
+  complete_ = level_begin == frontier_.size();
 
   if (stats != nullptr) {
     stats->edges_inspected = edges_inspected;
@@ -205,7 +235,15 @@ void BfsScratch::run(const Csr& g, Vertex source, BfsKernel kernel,
   }
 }
 
+void BfsScratch::require_complete(const char* what) const {
+  if (!complete_) {
+    throw std::logic_error(std::string("bfs_kernel: ") + what +
+                           " needs a run that searched the whole component");
+  }
+}
+
 void BfsScratch::copy_distances(std::span<std::uint32_t> out) const {
+  require_complete("copy_distances");
   if (out.size() != n_) {
     throw std::invalid_argument(
         "bfs_kernel: copy_distances size must equal num_vertices");
@@ -215,6 +253,7 @@ void BfsScratch::copy_distances(std::span<std::uint32_t> out) const {
 }
 
 std::uint32_t BfsScratch::max_reached_distance() const {
+  require_complete("max_reached_distance");
   std::uint32_t ecc = 0;
   for (Vertex v : frontier_) ecc = std::max(ecc, dist_[v]);
   return ecc;

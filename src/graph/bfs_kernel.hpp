@@ -37,6 +37,13 @@
 // O(active) — touched entries of the previous run — instead of an O(n)
 // std::fill.  One scratch per ThreadPool worker makes a sharded loop over
 // sources allocation-free after the first source.
+//
+// A targeted search answers a few distances without a full pass:
+// run(g, s, targets) is the same BFS, stopped at the end of the level that
+// reaches the last target.  The stop is tested between levels only, so the
+// per-level loops are the full run's.  A truncated search can never become
+// a cached row: after a run that stopped before its frontier emptied,
+// copy_distances() and max_reached_distance() throw std::logic_error.
 #pragma once
 
 #include <cstdint>
@@ -69,10 +76,10 @@ struct BfsKernelStats {
 };
 
 /// Reusable BFS state: distance array + epoch marks, the two bitmap
-/// frontiers the bottom-up steps test against, and the frontier vertex
-/// vector (which doubles as the visit-order record of every vertex reached
-/// by the current run).  Create one per worker and reuse it across sources;
-/// after the first run on a given vertex count, run() allocates nothing.
+/// frontiers the bottom-up steps test against, and the frontier vector
+/// (which doubles as the visit-order record of every vertex reached by the
+/// current run).  Create one per worker and reuse it across sources; after
+/// the first run on a given vertex count, run() allocates nothing.
 class BfsScratch {
  public:
   /// Runs a single-source BFS over `g` with the requested kernel.
@@ -82,13 +89,25 @@ class BfsScratch {
   void run(const Csr& g, Vertex source, BfsKernel kernel = BfsKernel::kAuto,
            BfsKernelStats* stats = nullptr);
 
-  /// d(source, v) of the last run; kInfDist when unreachable.
+  /// The same BFS, stopped at the end of the first level by which every
+  /// vertex in `targets` has been reached (duplicates and the source itself
+  /// are allowed).  distance() is exact wherever it is finite, so it is
+  /// exact for every target; a target outside the source's component reads
+  /// kInfDist, and the run then exhausts that component.  Throws
+  /// std::invalid_argument when the source or a target is out of range.
+  void run(const Csr& g, Vertex source, std::span<const Vertex> targets,
+           BfsKernel kernel = BfsKernel::kAuto,
+           BfsKernelStats* stats = nullptr);
+
+  /// d(source, v) of the last run; kInfDist when v was not reached.
   [[nodiscard]] std::uint32_t distance(Vertex v) const {
     return mark_[v] == epoch_ ? dist_[v] : kInfDist;
   }
 
   /// Materializes the full distance array of the last run into `out`
   /// (size must be the graph's vertex count; kInfDist where unreachable).
+  /// Throws std::logic_error when the last run stopped at its targets
+  /// before exhausting the component.
   void copy_distances(std::span<std::uint32_t> out) const;
 
   /// Every vertex reached by the last run, in discovery order (the source
@@ -97,7 +116,8 @@ class BfsScratch {
   [[nodiscard]] std::span<const Vertex> reached() const { return frontier_; }
 
   /// Max finite distance of the last run (the source's eccentricity within
-  /// its component).  O(reached).
+  /// its component).  O(reached).  Throws std::logic_error after a
+  /// truncated run, like copy_distances().
   [[nodiscard]] std::uint32_t max_reached_distance() const;
 
   /// Vertex count the scratch is currently sized for.
@@ -105,11 +125,16 @@ class BfsScratch {
 
  private:
   void resize(Vertex n);
+  void run_levels(const Csr& g, Vertex source, BfsKernel kernel,
+                  BfsKernelStats* stats, std::span<const Vertex> targets,
+                  bool stop_at_targets);
+  void require_complete(const char* what) const;
 
   Vertex n_ = 0;
   std::vector<std::uint32_t> dist_;   // valid iff mark_[v] == epoch_
   std::vector<std::uint16_t> mark_;   // per-vertex epoch tag
   std::uint16_t epoch_ = 0;           // wraps; resize()/run() handle the wrap
+  bool complete_ = false;  // the last run went on until its frontier emptied
   std::vector<std::uint64_t> front_bits_;  // current-level bitmap (bottom-up)
   std::vector<std::uint64_t> next_bits_;   // next-level bitmap (bottom-up)
   std::vector<Vertex> frontier_;      // reached vertices in discovery order

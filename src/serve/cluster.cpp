@@ -145,7 +145,9 @@ std::vector<std::uint32_t> ShardedCluster::serve(
                              .distinct_sources = b.distinct_sources,
                              .cache_hits = b.cache_hits,
                              .bfs_passes = b.bfs_passes,
-                             .evictions = b.evictions};
+                             .evictions = b.evictions,
+                             .edges_inspected = b.edges_inspected,
+                             .row_bytes = b.row_bytes};
       totals += stats->per_shard[s];
     }
   }
@@ -158,6 +160,8 @@ ShardCounters& ShardCounters::operator+=(const ShardCounters& other) {
   cache_hits += other.cache_hits;
   bfs_passes += other.bfs_passes;
   evictions += other.evictions;
+  edges_inspected += other.edges_inspected;
+  row_bytes += other.row_bytes;
   return *this;
 }
 
@@ -167,6 +171,8 @@ void ShardCounters::fold_into(metrics::Digest* digest) const {
   digest->add(cache_hits);
   digest->add(bfs_passes);
   digest->add(evictions);
+  digest->add(edges_inspected);
+  digest->add(row_bytes);
 }
 
 ClusterStats& ClusterStats::operator+=(const ClusterStats& other) {
@@ -217,6 +223,8 @@ util::JsonObject cluster_stats_fields(const ShardedCluster& cluster,
       {"cache_hits", util::JsonValue::number(stats.cache_hits)},
       {"bfs_passes", util::JsonValue::number(stats.bfs_passes)},
       {"evictions", util::JsonValue::number(stats.evictions)},
+      {"edges_inspected", util::JsonValue::number(stats.edges_inspected)},
+      {"row_bytes", util::JsonValue::number(stats.row_bytes)},
   };
   // Per-shard request/hit/BFS counters as parallel arrays: deterministic,
   // so a stats diff localizes a routing or cache regression to its shard.

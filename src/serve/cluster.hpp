@@ -19,13 +19,13 @@
 //   * at every shard count and partitioner (each answer is d_H(u,v), which
 //     no oracle's cache state can change), and
 //   * to a single SpannerDistanceOracle::batch_query over the same batch.
-// The served counters (requests, cache hits, BFS passes, evictions per
-// shard, work-metric histogram buckets) are pure functions of (partitioner,
-// batch history) — never of thread scheduling — so tests and CI compare
-// counters and digests, not wall-clock, which is meaningless on shared
-// runners.  The one exception is the serve-latency histogram in
-// ClusterMetrics, which is wall-clock by definition and therefore excluded
-// from work_digest().
+// The served counters (requests, cache hits, BFS passes, evictions, edges
+// inspected and row bytes per shard, work-metric histogram buckets) are
+// pure functions of (partitioner, batch history) — never of thread
+// scheduling — so tests and CI compare counters and digests, not
+// wall-clock, which is meaningless on shared runners.  The one exception
+// is the serve-latency histogram in ClusterMetrics, which is wall-clock by
+// definition and therefore excluded from work_digest().
 //
 // Thread-safety: one serve() at a time per cluster; the concurrency happens
 // inside, across disjoint shard oracles.
@@ -58,8 +58,10 @@ struct ShardCounters {
   std::uint64_t requests = 0;          ///< requests routed here
   std::uint64_t distinct_sources = 0;  ///< deduplicated BFS sources
   std::uint64_t cache_hits = 0;
-  std::uint64_t bfs_passes = 0;
+  std::uint64_t bfs_passes = 0;  ///< uncached sources searched (full/targeted)
   std::uint64_t evictions = 0;
+  std::uint64_t edges_inspected = 0;  ///< edges the BFS searches inspected
+  std::uint64_t row_bytes = 0;        ///< cached distance rows built, 4·n each
 
   ShardCounters& operator+=(const ShardCounters& other);
   /// Adds every counter above to `digest`, in declaration order.

@@ -4,12 +4,16 @@
 // independent of traversal order and direction, so top-down, hybrid, and
 // auto must produce identical distance arrays on every graph — and the
 // serving layer built on them must produce identical answers at every
-// thread count.  The epoch-tagged scratch additionally has a 16-bit wrap
-// path that only fires after 65535 reuses; that wrap is exercised here.
+// thread count.  A run stopped at its targets must give the reference
+// distance of every target it was asked for.  The epoch-tagged scratch
+// additionally has a 16-bit wrap path that only fires after 65535 reuses;
+// that wrap is exercised here.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -49,9 +53,45 @@ std::vector<std::uint32_t> kernel_dist(const Csr& csr, Vertex s,
   return dist;
 }
 
+/// The stopped runs from `s` against its reference row `want`: stopped at
+/// one target, a duplicated target, the source itself, a mixed set, and
+/// every sampled target (about 32, `s` among them), on every kernel.  A
+/// stopped run's distances must be exact wherever they are finite.
+/// `scratch` is shared across sources, so stopped runs and full runs
+/// interleave on one epoch space.
+void expect_targeted_searches_match(const Csr& csr, Vertex s,
+                                    const std::vector<std::uint32_t>& want,
+                                    BfsScratch& scratch,
+                                    const std::string& what) {
+  const Vertex n = csr.num_vertices();
+  const Vertex stride = std::max<Vertex>(1, n / 32);
+  std::vector<Vertex> sample;
+  for (Vertex t = s % stride; t < n; t += stride) sample.push_back(t);
+  const Vertex far = sample.back();
+  const std::vector<std::vector<Vertex>> target_sets = {
+      {far}, {far, far}, {s}, {sample.front(), far, s, far}, sample};
+  for (const auto& targets : target_sets) {
+    for (const auto kernel : kKernels) {
+      scratch.run(csr, s, targets, kernel);
+      for (const Vertex t : targets) {
+        EXPECT_EQ(scratch.distance(t), want[t])
+            << what << ", source " << s << ", target " << t << ", kernel "
+            << graph::bfs_kernel_name(kernel);
+      }
+      for (Vertex v = 0; v < n; ++v) {
+        if (scratch.distance(v) != kInfDist) {
+          EXPECT_EQ(scratch.distance(v), want[v])
+              << what << ", source " << s << ", vertex " << v;
+        }
+      }
+    }
+  }
+}
+
 void expect_all_kernels_match_reference(const Graph& g,
                                         const std::string& what) {
   const auto csr = Csr::from_graph(g);
+  BfsScratch scratch;
   for (Vertex s = 0; s < g.num_vertices(); ++s) {
     const auto want = reference_dist(g, s);
     for (const auto kernel : kKernels) {
@@ -59,13 +99,15 @@ void expect_all_kernels_match_reference(const Graph& g,
           << what << ", source " << s << ", kernel "
           << graph::bfs_kernel_name(kernel);
     }
+    expect_targeted_searches_match(csr, s, want, scratch, what);
   }
 }
 
 // Every kernel reproduces the reference distances from every source on all
 // six workload families the benches sweep — the hub-heavy shapes where
 // hybrid actually switches direction (er_dense, ba) and the flat ones where
-// auto must stay top-down (grid, path).
+// auto must stay top-down (grid, path) — and so do the stopped runs, for
+// every sampled target.
 TEST(BfsKernel, MatchesReferenceOnWorkloadFamilies) {
   const std::array<const char*, 6> families = {"er",   "er_dense", "ba",
                                                "grid", "path",     "star"};
@@ -77,7 +119,9 @@ TEST(BfsKernel, MatchesReferenceOnWorkloadFamilies) {
 
 TEST(BfsKernel, MatchesReferenceOnAwkwardShapes) {
   // Disconnected: two components plus an isolated vertex — bottom-up scans
-  // must not claim vertices outside the source's component.
+  // must not claim vertices outside the source's component, and a run
+  // stopped at a target in another component must read kInfDist for it.
+  // n < 32, so every vertex is a sampled target.
   const Graph two = Graph::from_edges(9, {{0, 1}, {1, 2}, {2, 0},
                                           {4, 5}, {5, 6}, {6, 7}});
   expect_all_kernels_match_reference(two, "disconnected");
@@ -114,6 +158,53 @@ TEST(BfsKernel, SourceOutOfRangeThrows) {
   BfsScratch scratch;
   EXPECT_THROW(scratch.run(csr, 4), std::invalid_argument);
   EXPECT_THROW(scratch.run(csr, 100), std::invalid_argument);
+  const std::vector<Vertex> bad_target{1, 4};
+  EXPECT_THROW(scratch.run(csr, 0, bad_target), std::invalid_argument);
+}
+
+// A truncated run can never become a cached row: after a run stopped before
+// its frontier emptied, the full-array readers throw.
+// A stopped run whose target lies outside the component exhausts the
+// component and stays readable, and the next full run is readable again.
+TEST(BfsKernel, TruncatedSearchesRefuseFullArrays) {
+  const Graph g = Graph::from_edges(6, {{0, 1}, {1, 2}, {2, 3}, {4, 5}});
+  const auto csr = Csr::from_graph(g);
+  BfsScratch scratch;
+  std::vector<std::uint32_t> dist(6);
+
+  const std::vector<Vertex> near{1};
+  scratch.run(csr, 0, near);
+  EXPECT_EQ(scratch.distance(1), 1u);
+  EXPECT_EQ(scratch.distance(3), kInfDist);  // beyond the stopping level
+  EXPECT_THROW(scratch.copy_distances(dist), std::logic_error);
+  EXPECT_THROW((void)scratch.max_reached_distance(), std::logic_error);
+
+  const std::vector<Vertex> unreachable{5};
+  scratch.run(csr, 0, unreachable);
+  EXPECT_EQ(scratch.distance(5), kInfDist);
+  scratch.copy_distances(dist);
+  EXPECT_EQ(dist, reference_dist(g, 0));
+  EXPECT_EQ(scratch.max_reached_distance(), 3u);
+
+  scratch.run(csr, 0, near);
+  scratch.run(csr, 4);
+  scratch.copy_distances(dist);
+  EXPECT_EQ(dist, reference_dist(g, 4));
+  EXPECT_EQ(scratch.max_reached_distance(), 1u);
+}
+
+// The work a stopped run saves: on a path, a run stopped at a near target
+// never sees the far end.
+TEST(BfsKernel, TargetedSearchesStopEarly) {
+  const auto csr = Csr::from_graph(graph::path(101));
+  BfsScratch scratch;
+  BfsKernelStats full, stopped;
+  scratch.run(csr, 0, BfsKernel::kTopDown, &full);
+  EXPECT_EQ(full.edges_inspected, 200u);  // 2|E|
+  const std::vector<Vertex> targets{3, 5, 5};
+  scratch.run(csr, 0, targets, BfsKernel::kTopDown, &stopped);
+  EXPECT_EQ(stopped.top_down_levels, 5u);
+  EXPECT_EQ(stopped.edges_inspected, 9u);  // the source's 1 + 4 levels of 2
 }
 
 TEST(BfsKernel, CopyDistancesRejectsWrongSize) {
@@ -181,19 +272,24 @@ TEST(BfsKernel, StatsCountLevelsAndEdges) {
 
 // One scratch reused past the 16-bit epoch space: after the wrap flushes the
 // mark array, stale marks from 65535 runs ago must not leak into distance().
+// Run 1 leaves marks (epoch 1) on {3, 4}; runs 2..65535 stay inside
+// {0, 1, 2}.  The wrap hands epoch 1 to run 65536, which must read vertex 4
+// as unreached.  Past the wrap, runs alternate between the components.
 TEST(BfsKernel, EpochWrapAfter64kReuses) {
   const Graph g = Graph::from_edges(5, {{0, 1}, {1, 2}, {3, 4}});
   const auto csr = Csr::from_graph(g);
   const auto want0 = reference_dist(g, 0);
   const auto want3 = reference_dist(g, 3);
+  constexpr std::uint32_t kWrap = 1u << 16;  // the run that reuses epoch 1
   BfsScratch scratch;
   std::vector<std::uint32_t> dist(5);
-  for (std::uint32_t i = 0; i < (1u << 16) + 50; ++i) {
-    const Vertex s = (i % 2 == 0) ? Vertex{0} : Vertex{3};
+  scratch.run(csr, 3, BfsKernel::kTopDown);
+  for (std::uint32_t run = 2; run < kWrap + 50; ++run) {
+    const Vertex s = run > kWrap && run % 2 == 1 ? Vertex{3} : Vertex{0};
     scratch.run(csr, s, BfsKernel::kTopDown);
     scratch.copy_distances(dist);
-    ASSERT_EQ(dist, s == 0 ? want0 : want3) << "reuse " << i;
-    ASSERT_EQ(scratch.distance(s == 0 ? 4 : 0), kInfDist) << "reuse " << i;
+    ASSERT_EQ(dist, s == 0 ? want0 : want3) << "run " << run;
+    ASSERT_EQ(scratch.distance(s == 0 ? 4 : 0), kInfDist) << "run " << run;
   }
 }
 

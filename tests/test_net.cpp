@@ -257,8 +257,10 @@ TEST(NetServer, StatsIsOneJsonObjectLine) {
   ASSERT_TRUE(stats.has_value());
   EXPECT_EQ(stats->front(), '{');
   EXPECT_EQ(stats->back(), '}');
-  for (const char* field : {"\"shards\"", "\"universe\"", "\"requests\"",
-                            "\"connections_open\"", "\"served_requests\""}) {
+  for (const char* field :
+       {"\"shards\"", "\"universe\"", "\"requests\"",
+        "\"edges_inspected\"", "\"row_bytes\"", "\"connections_open\"",
+        "\"served_requests\""}) {
     EXPECT_NE(stats->find(field), std::string::npos) << field;
   }
 }

@@ -33,6 +33,14 @@ core::SpannerResult build_result(const Graph& g) {
   return core::build_spanner(g, params, {.validate = false});
 }
 
+/// Every work counter of a batch; `shards` is left out, as it follows the
+/// thread count by design.
+std::vector<std::uint64_t> counters(const apps::BatchStats& s) {
+  return {s.queries,   s.distinct_sources, s.cache_hits,
+          s.bfs_passes, s.evictions,       s.edges_inspected,
+          s.row_bytes};
+}
+
 TEST(OracleBatch, BitIdenticalAcrossThreadsAndBudgets) {
   const Graph g = graph::make_workload("er", 300, 3);
   auto result = build_result(g);
@@ -59,6 +67,49 @@ TEST(OracleBatch, BitIdenticalAcrossThreadsAndBudgets) {
       EXPECT_EQ(apps::digest_answers(answers), expected_digest);
       EXPECT_EQ(stats.queries, queries.size());
       EXPECT_EQ(stats.cache_hits + stats.bfs_passes, stats.distinct_sources);
+    }
+  }
+
+  // The same 600 queries as 16-query batches in sequence: sources come
+  // back across batches, so at 8n bytes (two rows) refused sources return
+  // while the ring holds them, are admitted, and evict.  Answers and every
+  // counter, batch by batch, must not depend on the thread count.
+  constexpr std::size_t kBatch = 16;
+  for (const std::uint64_t budget :
+       {std::uint64_t{0}, std::uint64_t{8} * g.num_vertices(),
+        std::uint64_t{64} << 20}) {
+    std::vector<std::vector<std::uint64_t>> want;
+    std::uint64_t evictions = 0;
+    for (const unsigned threads : {1u, 2u, 8u}) {
+      const SpannerDistanceOracle oracle(
+          spanner, reference.multiplicative(), reference.additive(),
+          {.cache_budget_bytes = budget});
+      std::vector<std::vector<std::uint64_t>> got;
+      for (std::size_t at = 0; at < queries.size(); at += kBatch) {
+        const std::span<const Query> batch(
+            queries.data() + at, std::min(kBatch, queries.size() - at));
+        apps::BatchStats stats;
+        const auto answers = oracle.batch_query(batch, threads, &stats);
+        ASSERT_TRUE(std::equal(answers.begin(), answers.end(),
+                               expected.begin() +
+                                   static_cast<std::ptrdiff_t>(at)))
+            << "budget=" << budget << " threads=" << threads
+            << " batch at " << at;
+        got.push_back(counters(stats));
+        if (threads == 1) evictions += stats.evictions;
+      }
+      got.push_back({oracle.bfs_passes(), oracle.evictions(),
+                     oracle.cached_sources()});
+      if (threads == 1) {
+        want = got;
+      } else {
+        EXPECT_EQ(got, want) << "budget=" << budget << " threads=" << threads;
+      }
+    }
+    if (budget == std::uint64_t{8} * g.num_vertices()) {
+      EXPECT_GT(evictions, 0u);  // ring hits were admitted
+    } else {
+      EXPECT_EQ(evictions, 0u);
     }
   }
 }
@@ -104,27 +155,75 @@ TEST(OracleBatch, DisconnectedPairsReportInf) {
   const auto answers = oracle.batch_query(std::vector<Query>{{0, 2}, {0, 1}}, 2);
   EXPECT_EQ(answers[0], graph::kInfDist);
   EXPECT_EQ(answers[1], 1u);
+  // Cache off: source 0 gets a run stopped at {2, 1}, which exhausts its
+  // component, source 2 one for 4 in another component, and source 4 one
+  // for 5 within its component.
+  const SpannerDistanceOracle uncached(g, params, {.cache_budget_bytes = 0});
+  const std::vector<Query> pairs{{0, 2}, {0, 1}, {2, 4}, {5, 4}};
+  EXPECT_EQ(uncached.batch_query(pairs, 2),
+            (std::vector<std::uint32_t>{graph::kInfDist, 1, graph::kInfDist,
+                                        1}));
 }
 
 TEST(OracleCache, DeterministicLruEvictionWithinBudget) {
   const Graph g = graph::make_workload("er", 100, 9);
   const auto n = g.num_vertices();
+  const std::uint64_t row = std::uint64_t{n} * sizeof(std::uint32_t);
   // Budget for exactly two cached sources.
-  const SpannerDistanceOracle oracle(
-      build_result(g),
-      {.cache_budget_bytes = 2ull * n * sizeof(std::uint32_t)});
+  const SpannerDistanceOracle oracle(build_result(g),
+                                     {.cache_budget_bytes = 2 * row});
   ASSERT_EQ(oracle.cache_capacity(), 2u);
+  std::uint64_t row_bytes = 0;
+  const auto serve = [&](Vertex u, Vertex v) {
+    apps::BatchStats stats;
+    (void)oracle.batch_query(std::vector<Query>{{u, v}}, 1, &stats);
+    row_bytes += stats.row_bytes;
+    return stats;
+  };
 
-  (void)oracle.query(5, 50);   // caches 5
-  (void)oracle.query(10, 50);  // caches 10
-  (void)oracle.query(20, 50);  // caches 20, evicts 5 (oldest)
+  EXPECT_EQ(serve(5, 50).row_bytes, row);   // a free slot: row for 5
+  EXPECT_EQ(serve(10, 50).row_bytes, row);  // a free slot: row for 10
+  // The first miss on 20 is refused a row: a targeted search, no eviction.
+  const auto first = serve(20, 50);
+  EXPECT_EQ(first.bfs_passes, 1u);
+  EXPECT_EQ(first.row_bytes, 0u);
+  EXPECT_GT(first.edges_inspected, 0u);
+  EXPECT_EQ(oracle.evictions(), 0u);
   EXPECT_EQ(oracle.cached_sources(), 2u);
-  EXPECT_EQ(oracle.evictions(), 1u);
-  EXPECT_EQ(oracle.bfs_passes(), 3u);
-  (void)oracle.query(10, 60);  // still cached -> no BFS
-  EXPECT_EQ(oracle.bfs_passes(), 3u);
-  (void)oracle.query(5, 60);  // was evicted -> BFS again
+  // The second miss on 20, still in the ring, is admitted and evicts 5
+  // (the oldest).
+  const auto second = serve(20, 60);
+  EXPECT_EQ(second.row_bytes, row);
+  EXPECT_EQ(second.evictions, 1u);
+  EXPECT_EQ(oracle.cached_sources(), 2u);
   EXPECT_EQ(oracle.bfs_passes(), 4u);
+  EXPECT_EQ(serve(10, 60).cache_hits, 1u);  // still cached -> no BFS
+  EXPECT_EQ(oracle.bfs_passes(), 4u);
+  EXPECT_EQ(serve(5, 60).row_bytes, 0u);  // evicted -> refused, searched
+  EXPECT_EQ(oracle.bfs_passes(), 5u);
+
+  // Ties: one batch uses 10 and 20, so both carry its clock; 5 comes back
+  // from the ring and evicts the smaller of the two.
+  (void)oracle.batch_query(std::vector<Query>{{10, 70}, {20, 70}}, 1);
+  const auto tie = serve(5, 80);
+  EXPECT_EQ(tie.row_bytes, row);
+  EXPECT_EQ(tie.evictions, 1u);
+  EXPECT_EQ(serve(20, 90).cache_hits, 1u);  // 20 stayed
+  EXPECT_EQ(serve(10, 90).cache_hits, 0u);  // 10 went
+  EXPECT_EQ(oracle.evictions(), 2u);
+  EXPECT_EQ(row_bytes, 4 * row);  // rows for 5, 10, 20 and 5 again
+
+  // Within one batch the free slots count the rows admitted before: three
+  // new sources into an empty two-row cache build two rows, evicting none.
+  const SpannerDistanceOracle fresh(build_result(g),
+                                    {.cache_budget_bytes = 2 * row});
+  apps::BatchStats stats;
+  (void)fresh.batch_query(std::vector<Query>{{30, 90}, {31, 90}, {32, 90}}, 1,
+                          &stats);
+  EXPECT_EQ(stats.bfs_passes, 3u);
+  EXPECT_EQ(stats.row_bytes, 2 * row);
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(fresh.cached_sources(), 2u);
 }
 
 TEST(OracleCache, ZeroBudgetDisablesCachingButNotAnswers) {

@@ -7,6 +7,7 @@
 // policy these tests assert determinism, never wall-clock.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <numeric>
@@ -215,13 +216,21 @@ TEST(ShardedCluster, CountersAreDeterministicAndThreadIndependent) {
   }
   ASSERT_EQ(reference.per_shard.size(), 4u);
   // Sub-batch sizes sum to the batch; totals sum over shards.
-  std::uint64_t requests = 0, bfs = 0;
+  // At 8n bytes a shard holds two rows.  Its caches start empty and the
+  // ring has nothing to readmit, so a shard builds rows for its first two
+  // missed sources and searches the rest without one.
+  const std::uint64_t row = g.num_vertices() * sizeof(std::uint32_t);
+  std::uint64_t requests = 0, bfs = 0, edges = 0;
   for (const auto& c : reference.per_shard) {
     requests += c.requests;
     bfs += c.bfs_passes;
+    edges += c.edges_inspected;
+    EXPECT_EQ(c.row_bytes, std::min<std::uint64_t>(c.bfs_passes, 2) * row);
   }
   EXPECT_EQ(requests, batch.size());
   EXPECT_EQ(bfs, reference.bfs_passes);
+  EXPECT_EQ(edges, reference.edges_inspected);
+  EXPECT_GT(reference.edges_inspected, 0u);
 
   for (const unsigned threads : {2u, 8u}) {
     ShardedCluster cluster(result.spanner, mult, add, options);
@@ -232,6 +241,8 @@ TEST(ShardedCluster, CountersAreDeterministicAndThreadIndependent) {
     EXPECT_EQ(stats.cache_hits, reference.cache_hits);
     EXPECT_EQ(stats.bfs_passes, reference.bfs_passes);
     EXPECT_EQ(stats.evictions, reference.evictions);
+    EXPECT_EQ(stats.edges_inspected, reference.edges_inspected);
+    EXPECT_EQ(stats.row_bytes, reference.row_bytes);
     EXPECT_EQ(stats.digest(), reference.digest()) << "threads=" << threads;
     for (std::size_t s = 0; s < stats.per_shard.size(); ++s) {
       EXPECT_EQ(stats.per_shard[s].requests,
@@ -240,6 +251,10 @@ TEST(ShardedCluster, CountersAreDeterministicAndThreadIndependent) {
                 reference.per_shard[s].bfs_passes);
       EXPECT_EQ(stats.per_shard[s].evictions,
                 reference.per_shard[s].evictions);
+      EXPECT_EQ(stats.per_shard[s].edges_inspected,
+                reference.per_shard[s].edges_inspected);
+      EXPECT_EQ(stats.per_shard[s].row_bytes,
+                reference.per_shard[s].row_bytes);
     }
   }
 }

@@ -162,7 +162,8 @@ int main(int argc, char** argv) {
       std::cerr << "served " << stats.queries << " queries ("
                 << stats.distinct_sources << " sources, " << stats.cache_hits
                 << " cached, " << stats.bfs_passes << " BFS, "
-                << stats.evictions << " evictions)\n";
+                << stats.evictions << " evictions, " << stats.edges_inspected
+                << " edges inspected, " << stats.row_bytes << " row bytes)\n";
     }
     if (!answers_path.empty()) {
       // The file is created even for an empty request set (a query file of
@@ -199,6 +200,8 @@ int main(int argc, char** argv) {
           {"cache_hits", util::JsonValue::number(stats.cache_hits)},
           {"bfs_passes", util::JsonValue::number(stats.bfs_passes)},
           {"evictions", util::JsonValue::number(stats.evictions)},
+          {"edges_inspected", util::JsonValue::number(stats.edges_inspected)},
+          {"row_bytes", util::JsonValue::number(stats.row_bytes)},
           {"digest", util::JsonValue::hex64(apps::digest_answers(answers))},
           {"build_ms",
            util::JsonValue::literal(run::format_real(build_ms, 4))},

@@ -100,7 +100,9 @@ int main(int argc, char** argv) {
                 << stats.shards_used << "/" << cluster.num_shards()
                 << " shards (" << stats.distinct_sources << " sources, "
                 << stats.cache_hits << " cached, " << stats.bfs_passes
-                << " BFS, " << stats.evictions << " evictions)\n";
+                << " BFS, " << stats.evictions << " evictions, "
+                << stats.edges_inspected << " edges inspected, "
+                << stats.row_bytes << " row bytes)\n";
     }
     if (!answers_path.empty()) {
       // Same contract as nas_oracle: the file is created even for an empty
