@@ -1,32 +1,47 @@
 // Experiment K1 — BFS kernel microbench: edges inspected and wall-clock for
 // the top-down, direction-optimizing (hybrid), and auto kernels on the same
-// graphs.
+// graphs, in two vertex orders.
 //
 // The serving and verification hot paths spend their time in single-source
 // BFS over the Csr view (src/graph/bfs_kernel.hpp).  This bench drives the
 // kernels directly — no oracle, no spanner — so the traversal cost is
-// isolated: per (family, n, kernel) it runs the same source set on one
-// reused BfsScratch and reports the kernel's own work counters
+// isolated: per (family, n, order, kernel) it runs the same source set on
+// one reused BfsScratch and reports the kernel's own work counters
 // (edges_inspected, top-down/bottom-up level split) next to wall-clock.
 //
 //   ./bfs_kernels [--family er,er_dense,ba,grid] [--n 4000,16000] [--seed 1]
 //       [--sources 16] [--json BENCH_bfs.json]
+//
+// Orders: `input` runs the generator's IDs; `bfs` runs the same graph
+// relabelled by Csr::relabel_bfs_order, from the same sources renamed —
+// the labelling the oracle and the verifier search on.  `lines_touched`
+// is the locality counter behind that choice: the distinct 64-byte lines
+// of the kernel's 8-byte cell array that each top-down level's neighbor
+// checks read, summed over levels and sources.  The bench recomputes it
+// from reached() after each run, so the kernel pays nothing for it; rows
+// with a bottom-up level report null.
 //
 // It also runs the targeted search the oracle uses for sources it does not
 // cache: the auto run from each source stopped at the next source and the
 // one half the list away ("targets" rows).
 //
 // Gates make the run self-checking (nonzero exit on violation):
-//   * identity — every kernel's distance array is byte-identical to
-//     top-down's for every source (distances are level structure, not
-//     traversal order, so any divergence is a kernel bug), and every
-//     targeted search's distances equal top-down's;
+//   * identity — every kernel's distance array, in either order and mapped
+//     back to input IDs, is byte-identical to input-order top-down's for
+//     every source (distances are level structure, not traversal order or
+//     labelling, so any divergence is a kernel or relabelling bug), and
+//     every targeted search's distances equal top-down's;
 //   * work — on the ba and er families (hub-heavy / average degree ~8, the
 //     shapes direction-optimizing targets) hybrid must inspect no more
 //     edges than top-down; and on er, er_dense, ba, grid, geometric and
 //     hypercube, auto (what serving and verification run) must inspect no
 //     more edges than top-down, so a switch that goes bottom-up on a
-//     frontier that is not about to take in the rest of the graph fails;
+//     frontier that is not about to take in the rest of the graph fails.
+//     Both hold in each order.  Top-down inspects the same edges in both
+//     orders (the sum of the reached degrees);
+//   * locality — on geometric, whose IDs are random with respect to
+//     position, top-down in the bfs order touches no more lines than in
+//     the input order;
 //   * targeted work — on every family, each stopped run inspects no more
 //     edges than the full auto pass from its source.
 #include <algorithm>
@@ -64,6 +79,11 @@ bool work_gated(graph::BfsKernel kernel, const std::string& family) {
     case graph::BfsKernel::kHybrid:
       return in({"ba", "er"});
     case graph::BfsKernel::kAuto:
+      // Not caveman: there auto inspects about 1.5x top-down's edges (the
+      // FOUND line on caveman in CHANGES.md), because a bottom-up level
+      // rescans the clique adjacency of every vertex in a cave the
+      // frontier has not reached.  caveman runs the identity, locality
+      // and targeted-work gates until the switch rule is fixed.
       return in({"er", "er_dense", "ba", "grid", "geometric", "hypercube"});
     case graph::BfsKernel::kTopDown:
       return false;
@@ -88,9 +108,11 @@ struct KernelRow {
   std::string family;
   graph::Vertex n = 0;
   std::size_t m = 0;
+  std::string order = "input";  ///< "input" | "bfs"
   graph::BfsKernel kernel = graph::BfsKernel::kTopDown;
   std::string search = "full";  ///< "full" | "targets"
   graph::BfsKernelStats stats;
+  std::uint64_t lines_touched = 0;  ///< meaningful iff no bottom-up level
   double wall_ms = 0.0;
   bool identical = true;
 };
@@ -101,6 +123,45 @@ void add_stats(graph::BfsKernelStats& total,
   total.top_down_levels += run.top_down_levels;
   total.bottom_up_levels += run.bottom_up_levels;
 }
+
+/// Counts the cache lines a top-down run's neighbor checks read: level d
+/// (d < levels, the levels the run expanded) reads the cell of every
+/// neighbor of every level-d vertex, and each distinct 64-byte line of the
+/// 8-byte cells counts once per level.  reached() lists the vertices level
+/// by level.  `seen` holds one stamp per line, `stamp` the last one used;
+/// both carry over between calls so no per-run reset is needed.
+class LineCounter {
+ public:
+  explicit LineCounter(graph::Vertex n) : seen_(n / kCellsPerLine + 1, 0) {}
+
+  std::uint64_t count(const graph::Csr& g, const graph::BfsScratch& scratch,
+                      std::uint32_t levels) {
+    std::uint64_t lines = 0;
+    std::uint32_t level = 0;
+    ++stamp_;
+    for (const graph::Vertex u : scratch.reached()) {
+      const std::uint32_t d = scratch.distance(u);
+      if (d >= levels) break;
+      if (d != level) {
+        level = d;
+        ++stamp_;
+      }
+      for (const graph::Vertex v : g.neighbors(u)) {
+        std::uint64_t& line = seen_[v / kCellsPerLine];
+        if (line != stamp_) {
+          line = stamp_;
+          ++lines;
+        }
+      }
+    }
+    return lines;
+  }
+
+ private:
+  static constexpr graph::Vertex kCellsPerLine = 64 / 8;
+  std::vector<std::uint64_t> seen_;
+  std::uint64_t stamp_ = 0;
+};
 
 }  // namespace
 
@@ -119,7 +180,7 @@ int main(int argc, char** argv) {
       flags.str("json", "BENCH_bfs.json", "perf JSON output path");
   if (flags.handle_help(
           "bfs_kernels — experiment K1: BFS kernel work counters and "
-          "wall-clock (topdown vs hybrid vs auto)")) {
+          "wall-clock (topdown vs hybrid vs auto, input vs bfs order)")) {
     return 0;
   }
   flags.reject_unknown();
@@ -140,89 +201,136 @@ int main(int argc, char** argv) {
   std::vector<KernelRow> rows;
   bool all_identical = true;
   bool work_gate_ok = true;
+  bool order_work_ok = true;
+  bool locality_ok = true;
   bool targeted_work_ok = true;
   for (const auto& family : family_list) {
     for (const auto n : n_list) {
       const auto g = graph::make_workload(family, n, seed);
-      const auto csr = graph::Csr::from_graph(g);
+      const auto input = graph::Csr::from_graph(g);
+      const auto relabelled = input.relabel_bfs_order();
       const auto sources = pick_sources(g.num_vertices(), num_sources);
       std::cout << "family=" << family << " " << g.summary() << " ("
                 << sources.size() << " sources)\n";
 
-      // Reference distances: one top-down array per source; hybrid and auto
-      // must reproduce each byte-for-byte.  The per-source edge counts of
-      // auto bound the stopped runs.
+      // Reference distances: one input-order top-down array per source,
+      // indexed by input ID; every other kernel and order must reproduce
+      // each byte-for-byte once mapped back.
       std::vector<std::vector<std::uint32_t>> reference;
-      std::vector<std::uint64_t> auto_pass;
-      std::uint64_t topdown_edges = 0;
-      const auto new_row = [&](graph::BfsKernel kernel, const char* search) {
-        KernelRow row;
-        row.family = family;
-        row.n = g.num_vertices();
-        row.m = g.num_edges();
-        row.kernel = kernel;
-        row.search = search;
-        return row;
-      };
-      for (const auto kernel : kKernels) {
-        KernelRow row = new_row(kernel, "full");
-        graph::BfsScratch scratch;
-        std::vector<std::uint32_t> dist(g.num_vertices());
-        util::Timer timer;
-        for (std::size_t i = 0; i < sources.size(); ++i) {
-          graph::BfsKernelStats stats;
-          graph::bfs_kernel_into(csr, sources[i], dist, scratch, kernel,
-                                 &stats);
-          add_stats(row.stats, stats);
+      std::uint64_t input_topdown_edges = 0;
+      std::uint64_t input_topdown_lines = 0;
+      for (const char* order : {"input", "bfs"}) {
+        const bool bfs_order = std::string(order) == "bfs";
+        const graph::Csr& csr = bfs_order ? relabelled.csr : input;
+        const auto id = [&](graph::Vertex v) {
+          return bfs_order ? relabelled.to_new[v] : v;
+        };
+        const auto new_row = [&](graph::BfsKernel kernel, const char* search) {
+          KernelRow row;
+          row.family = family;
+          row.n = g.num_vertices();
+          row.m = g.num_edges();
+          row.order = order;
+          row.kernel = kernel;
+          row.search = search;
+          return row;
+        };
+        LineCounter line_counter(g.num_vertices());
+        // The per-source edge counts of auto bound the stopped runs.
+        std::vector<std::uint64_t> auto_pass;
+        std::uint64_t topdown_edges = 0;
+        for (const auto kernel : kKernels) {
+          KernelRow row = new_row(kernel, "full");
+          graph::BfsScratch scratch;
+          std::vector<std::uint32_t> dist(g.num_vertices());
+          util::Timer timer;
+          for (std::size_t i = 0; i < sources.size(); ++i) {
+            graph::BfsKernelStats stats;
+            graph::bfs_kernel_into(csr, id(sources[i]), dist, scratch, kernel,
+                                   &stats);
+            add_stats(row.stats, stats);
+            if (stats.bottom_up_levels == 0) {
+              row.lines_touched +=
+                  line_counter.count(csr, scratch, stats.top_down_levels);
+            }
+            if (!bfs_order && kernel == graph::BfsKernel::kTopDown) {
+              reference.push_back(dist);
+            } else {
+              for (graph::Vertex v = 0; v < g.num_vertices(); ++v) {
+                if (dist[id(v)] != reference[i][v]) row.identical = false;
+              }
+            }
+            if (kernel == graph::BfsKernel::kAuto) {
+              auto_pass.push_back(stats.edges_inspected);
+            }
+          }
+          row.wall_ms = timer.millis();
           if (kernel == graph::BfsKernel::kTopDown) {
-            reference.push_back(dist);
-          } else if (dist != reference[i]) {
-            row.identical = false;
+            topdown_edges = row.stats.edges_inspected;
+            if (!bfs_order) {
+              input_topdown_edges = topdown_edges;
+              input_topdown_lines = row.lines_touched;
+            } else {
+              order_work_ok =
+                  order_work_ok && topdown_edges == input_topdown_edges;
+              locality_ok = locality_ok &&
+                            (family != "geometric" ||
+                             row.lines_touched <= input_topdown_lines);
+            }
+          } else if (work_gated(kernel, family) &&
+                     row.stats.edges_inspected > topdown_edges) {
+            work_gate_ok = false;
           }
-          if (kernel == graph::BfsKernel::kAuto) {
-            auto_pass.push_back(stats.edges_inspected);
-          }
+          all_identical = all_identical && row.identical;
+          rows.push_back(row);
         }
-        row.wall_ms = timer.millis();
-        if (kernel == graph::BfsKernel::kTopDown) {
-          topdown_edges = row.stats.edges_inspected;
-        } else if (work_gated(kernel, family) &&
-                   row.stats.edges_inspected > topdown_edges) {
-          work_gate_ok = false;
-        }
-        all_identical = all_identical && row.identical;
-        rows.push_back(row);
-      }
 
-      // The stopped runs, with targets taken from the source list.
-      KernelRow stopped = new_row(graph::BfsKernel::kAuto, "targets");
-      graph::BfsScratch scratch;
-      util::Timer stopped_timer;
-      for (std::size_t i = 0; i < sources.size(); ++i) {
-        const std::vector<graph::Vertex> targets{
-            sources[(i + 1) % sources.size()],
-            sources[(i + sources.size() / 2) % sources.size()]};
-        graph::BfsKernelStats stats;
-        scratch.run(csr, sources[i], targets, graph::BfsKernel::kAuto, &stats);
-        for (const auto t : targets) {
-          if (scratch.distance(t) != reference[i][t]) stopped.identical = false;
+        // The stopped runs, with targets taken from the source list.
+        KernelRow stopped = new_row(graph::BfsKernel::kAuto, "targets");
+        graph::BfsScratch scratch;
+        util::Timer stopped_timer;
+        for (std::size_t i = 0; i < sources.size(); ++i) {
+          const std::vector<graph::Vertex> targets{
+              sources[(i + 1) % sources.size()],
+              sources[(i + sources.size() / 2) % sources.size()]};
+          const std::vector<graph::Vertex> renamed{id(targets[0]),
+                                                   id(targets[1])};
+          graph::BfsKernelStats stats;
+          scratch.run(csr, id(sources[i]), renamed, graph::BfsKernel::kAuto,
+                      &stats);
+          if (stats.bottom_up_levels == 0) {
+            stopped.lines_touched +=
+                line_counter.count(csr, scratch, stats.top_down_levels);
+          }
+          for (const auto t : targets) {
+            if (scratch.distance(id(t)) != reference[i][t]) {
+              stopped.identical = false;
+            }
+          }
+          targeted_work_ok =
+              targeted_work_ok && stats.edges_inspected <= auto_pass[i];
+          add_stats(stopped.stats, stats);
         }
-        targeted_work_ok =
-            targeted_work_ok && stats.edges_inspected <= auto_pass[i];
-        add_stats(stopped.stats, stats);
+        stopped.wall_ms = stopped_timer.millis();
+        all_identical = all_identical && stopped.identical;
+        rows.push_back(stopped);
       }
-      stopped.wall_ms = stopped_timer.millis();
-      all_identical = all_identical && stopped.identical;
-      rows.push_back(stopped);
     }
   }
 
-  util::Table t({"family", "n", "kernel", "search", "edges inspected",
-                 "td lvls", "bu lvls", "ms", "identical"});
+  // lines_touched is defined for rows whose every level ran top-down.
+  const auto lines = [](const KernelRow& row) {
+    return row.stats.bottom_up_levels == 0
+               ? std::to_string(row.lines_touched)
+               : std::string("-");
+  };
+  util::Table t({"family", "n", "order", "kernel", "search",
+                 "edges inspected", "lines touched", "td lvls", "bu lvls",
+                 "ms", "identical"});
   for (const auto& row : rows) {
-    t.add_row({row.family, std::to_string(row.n),
+    t.add_row({row.family, std::to_string(row.n), row.order,
                graph::bfs_kernel_name(row.kernel), row.search,
-               std::to_string(row.stats.edges_inspected),
+               std::to_string(row.stats.edges_inspected), lines(row),
                std::to_string(row.stats.top_down_levels),
                std::to_string(row.stats.bottom_up_levels),
                util::Table::num(row.wall_ms, 2),
@@ -231,10 +339,14 @@ int main(int argc, char** argv) {
   std::cout << "\n";
   t.print(std::cout);
   std::cout << "\nidentity gate: every kernel's distances, and every "
-               "stopped run's, match top-down's byte-for-byte; work gate: "
-               "hybrid edges <= topdown on ba/er, auto edges <= topdown on "
-               "er/er_dense/ba/grid/geometric/hypercube; targeted work "
-               "gate: per source, targets <= the auto pass.\n";
+               "stopped run's, in either order, match input-order "
+               "top-down's byte-for-byte; work gate: hybrid edges <= "
+               "topdown on ba/er, auto edges <= topdown on "
+               "er/er_dense/ba/grid/geometric/hypercube, in each order, and "
+               "topdown edges equal across orders; locality gate: on "
+               "geometric, bfs-order topdown lines <= input-order; "
+               "targeted work gate: per source, targets <= the auto "
+               "pass.\n";
   if (!all_identical) {
     std::cout << "ERROR: a kernel's or a stopped run's distances diverged "
                  "from top-down.\n";
@@ -242,6 +354,14 @@ int main(int argc, char** argv) {
   if (!work_gate_ok) {
     std::cout << "ERROR: hybrid or auto inspected more edges than top-down "
                  "on a gated family.\n";
+  }
+  if (!order_work_ok) {
+    std::cout << "ERROR: top-down inspected a different number of edges in "
+                 "the bfs order than in the input order.\n";
+  }
+  if (!locality_ok) {
+    std::cout << "ERROR: on geometric, top-down in the bfs order touched "
+                 "more lines than in the input order.\n";
   }
   if (!targeted_work_ok) {
     std::cout << "ERROR: a stopped run inspected more edges than the "
@@ -256,6 +376,7 @@ int main(int argc, char** argv) {
           {"family", util::JsonValue::str(row.family)},
           {"n", util::JsonValue::number(static_cast<std::uint64_t>(row.n))},
           {"m", util::JsonValue::number(static_cast<std::uint64_t>(row.m))},
+          {"order", util::JsonValue::str(row.order)},
           {"kernel", util::JsonValue::str(graph::bfs_kernel_name(row.kernel))},
           {"search", util::JsonValue::str(row.search)},
           {"sources", util::JsonValue::number(num_sources)},
@@ -267,6 +388,10 @@ int main(int argc, char** argv) {
           {"bottom_up_levels",
            util::JsonValue::number(
                static_cast<std::uint64_t>(row.stats.bottom_up_levels))},
+          {"lines_touched",
+           row.stats.bottom_up_levels == 0
+               ? util::JsonValue::number(row.lines_touched)
+               : util::JsonValue::literal("null")},
           {"wall_ms",
            util::JsonValue::literal(run::format_real(row.wall_ms, 4))},
           {"identical_to_topdown", util::JsonValue::boolean(row.identical)},
@@ -286,5 +411,8 @@ int main(int argc, char** argv) {
     std::cout << "wrote " << rows.size() << " rows to " << json_path << "\n";
   }
 
-  return all_identical && work_gate_ok && targeted_work_ok ? 0 : 1;
+  return all_identical && work_gate_ok && order_work_ok && locality_ok &&
+                 targeted_work_ok
+             ? 0
+             : 1;
 }

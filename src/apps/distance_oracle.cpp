@@ -44,12 +44,10 @@ SpannerDistanceOracle::SpannerDistanceOracle(const graph::Graph& g,
 
 SpannerDistanceOracle::SpannerDistanceOracle(core::SpannerResult result,
                                              OracleOptions options)
-    : csr_(graph::Csr::from_graph(result.spanner)),
-      params_(std::move(result.params)),
-      mult_(params_->stretch_multiplicative()),
-      add_(params_->stretch_additive()),
-      capacity_(resolve_capacity(options.cache_budget_bytes,
-                                 csr_.num_vertices())) {}
+    : SpannerDistanceOracle(graph::Csr::from_graph(result.spanner),
+                            result.params.stretch_multiplicative(),
+                            result.params.stretch_additive(), options,
+                            result.params) {}
 
 SpannerDistanceOracle::SpannerDistanceOracle(graph::Graph spanner,
                                              double multiplicative,
@@ -68,6 +66,8 @@ SpannerDistanceOracle::SpannerDistanceOracle(graph::Csr spanner,
       params_(std::move(params)),
       mult_(multiplicative),
       add_(additive),
+      search_(std::make_shared<const graph::RelabelledCsr>(
+          csr_.relabel_bfs_order())),
       capacity_(resolve_capacity(options.cache_budget_bytes,
                                  csr_.num_vertices())) {}
 
@@ -136,12 +136,16 @@ std::vector<std::uint32_t> SpannerDistanceOracle::batch_query(
     check_vertex(q.v);
   }
   const Vertex n = csr_.num_vertices();
+  const graph::Csr& search_graph = search_->csr;
+  const std::vector<Vertex>& to_new = search_->to_new;
   const auto evictions_before = evictions_;
   ++clock_;  // the whole batch is one logical-clock tick
 
   // Plan (serial): pick one source per request — a cached endpoint when
   // available, else the smaller ID.  Hits are answered and marked used
   // now; the missed sources are deduplicated in first-appearance order.
+  // Sources, cache keys and the LRU order are input IDs; rows, targets and
+  // searches are in the search graph's BFS order, reached through to_new.
   constexpr std::size_t kNoSearch = static_cast<std::size_t>(-1);
   std::vector<std::uint32_t> answers(queries.size(), 0);
   std::vector<std::size_t> search_of(queries.size(), kNoSearch);
@@ -158,7 +162,7 @@ std::vector<std::uint32_t> SpannerDistanceOracle::batch_query(
       t = u;
     }
     if (hit != cache_.end()) {
-      answers[i] = hit->second.dist[t];
+      answers[i] = hit->second.dist[to_new[t]];
       if (touch(hit->first, hit->second)) ++hits;
       continue;
     }
@@ -185,7 +189,7 @@ std::vector<std::uint32_t> SpannerDistanceOracle::batch_query(
       if (j == kNoSearch) continue;
       slot_of[i] = next[j]++;
       targets[slot_of[i]] =
-          queries[i].u == missing[j] ? queries[i].v : queries[i].u;
+          to_new[queries[i].u == missing[j] ? queries[i].v : queries[i].u];
     }
   }
 
@@ -214,7 +218,7 @@ std::vector<std::uint32_t> SpannerDistanceOracle::batch_query(
   // Search the missed sources, sharded across the pool.  Each slot owns
   // one kept scratch and writes only its own sources' rows, target
   // distances and edge counts, so every result is independent of the slot
-  // count.  The workers stream the shared CSR arrays read-only.
+  // count.  The workers stream the shared search graph read-only.
   std::vector<std::uint32_t> target_dist(targets.size());
   std::vector<std::uint64_t> edges(missing.size(), 0);
   const auto search = [&](std::size_t j, graph::BfsScratch& scratch) {
@@ -223,12 +227,14 @@ std::vector<std::uint32_t> SpannerDistanceOracle::batch_query(
     const auto got = target_dist.begin() +
                      static_cast<std::ptrdiff_t>(first_target[j]);
     graph::BfsKernelStats kernel_stats;
+    const Vertex source = to_new[missing[j]];
     if (admitted[j] != 0) {
-      scratch.run(csr_, missing[j], graph::BfsKernel::kAuto, &kernel_stats);
+      scratch.run(search_graph, source, graph::BfsKernel::kAuto,
+                  &kernel_stats);
       rows[j].resize(n);
       scratch.copy_distances(rows[j]);
     } else {
-      scratch.run(csr_, missing[j], want, graph::BfsKernel::kAuto,
+      scratch.run(search_graph, source, want, graph::BfsKernel::kAuto,
                   &kernel_stats);
     }
     std::transform(want.begin(), want.end(), got,

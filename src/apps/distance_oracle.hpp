@@ -12,10 +12,25 @@
 // O(β·n^{1+1/κ})) instead of O(|E|).
 //
 // Serving model:
-//   * The oracle holds the spanner as a graph::Csr — two flat arrays the
-//     BFS hot loop streams through.  Csr copies share storage, so cloning
-//     an oracle across serving shards costs O(1) memory, and a v2 binary
-//     snapshot serves straight out of a file mapping.
+//   * The oracle holds the spanner as a graph::Csr — two flat arrays — in
+//     input vertex order: csr(), what save*() writes and spanner()
+//     mirrors.  Csr copies share storage, so cloning an oracle across
+//     serving shards costs O(1) memory, and a v2 binary snapshot keeps
+//     csr() a view into its file mapping.
+//   * The BFS hot loop runs on a second copy, search_csr(): the spanner
+//     relabelled in its BFS order (graph::Csr::relabel_bfs_order), so the
+//     cells a search level reads sit on few cache lines even when the
+//     input's IDs are random with respect to the graph's structure.  It
+//     is built once, at construction or load (one O(n + m) copy: 8(n+1) +
+//     8m bytes, plus 4n for the permutation), and held behind one
+//     shared_ptr, so oracle copies and every shard of a ShardedCluster
+//     share it.  Sources and targets are translated at the boundary, and
+//     cached rows are kept in the new order.  Cache keys, the smaller-ID
+//     rule, LRU ties and the refusal ring stay in input IDs, so answers
+//     and counters equal those of a search in input order (on a spanner
+//     that resolves to top-down, edges_inspected is the sum of the reached
+//     degrees, whatever the labelling; bottom-up levels may count
+//     differently).
 //   * `batch_query` answers a whole request vector at once, and `query` is
 //     a one-request batch.  A serial planner picks one source per request
 //     (a cached endpoint when there is one, else the smaller ID), answers
@@ -187,8 +202,13 @@ class SpannerDistanceOracle {
   [[nodiscard]] double multiplicative() const { return mult_; }
   [[nodiscard]] double additive() const { return add_; }
 
-  /// The serving structure itself: the CSR the BFS hot loop runs on.
+  /// The spanner in input vertex order: what save*() writes, and, for an
+  /// oracle loaded from a v2 snapshot, a view into the file mapping.
   [[nodiscard]] const graph::Csr& csr() const { return csr_; }
+  /// The structure the BFS hot loop runs on: csr() relabelled in its BFS
+  /// order (graph::Csr::relabel_bfs_order), built once at construction or
+  /// load and shared by every copy of this oracle.
+  [[nodiscard]] const graph::Csr& search_csr() const { return search_->csr; }
   /// Adjacency-list view of the spanner, materialized lazily on first use
   /// (identical neighbor order).  Cold-path/introspection helper — serving
   /// never touches it.
@@ -230,13 +250,17 @@ class SpannerDistanceOracle {
   void remember_refusal(graph::Vertex s) const;
   void check_vertex(graph::Vertex v) const;
 
-  graph::Csr csr_;  ///< the spanner, in serving form (sole retained copy)
+  graph::Csr csr_;  ///< the spanner in input order (what save*() writes)
   std::optional<core::Params> params_;
   double mult_ = 1.0;
   double add_ = 0.0;
+  /// csr_ in its BFS order plus the input -> search ID map; immutable and
+  /// shared by every copy of the oracle (every shard of a cluster).
+  std::shared_ptr<const graph::RelabelledCsr> search_;
   std::uint64_t capacity_ = 0;  ///< max cached sources (from the byte budget)
 
-  /// Cached rows by source ID, and the LRU order over them: (last_used,
+  /// Cached rows by input source ID, each row indexed by search ID (target
+  /// t reads dist[to_new[t]]), and the LRU order over them: (last_used,
   /// source) ascending, so the first element is the next victim.  Both are
   /// ordered containers, so eviction is structurally deterministic.
   mutable std::map<graph::Vertex, CacheEntry> cache_;

@@ -53,6 +53,13 @@ inline bool test_bit(const std::vector<std::uint64_t>& bits, Vertex v) {
   return ((bits[v >> 6] >> (v & 63U)) & 1U) != 0;
 }
 
+BfsKernel resolve_kernel(BfsKernel kernel, const Csr& g) {
+  if (kernel != BfsKernel::kAuto) return kernel;
+  return g.entries().size() >= kAutoDegree * g.num_vertices()
+             ? BfsKernel::kHybrid
+             : BfsKernel::kTopDown;
+}
+
 }  // namespace
 
 const char* bfs_kernel_name(BfsKernel kernel) {
@@ -65,19 +72,6 @@ const char* bfs_kernel_name(BfsKernel kernel) {
       return "auto";
   }
   return "auto";
-}
-
-void BfsScratch::resize(Vertex n) {
-  if (n == n_) return;
-  n_ = n;
-  dist_.resize(n);
-  mark_.assign(n, 0);
-  epoch_ = 0;  // run() bumps to 1; all marks are stale by construction
-  const std::size_t words = (static_cast<std::size_t>(n) + 63) / 64;
-  front_bits_.resize(words);
-  next_bits_.resize(words);
-  frontier_.clear();
-  frontier_.reserve(n);
 }
 
 void BfsScratch::run(const Csr& g, Vertex source, BfsKernel kernel,
@@ -100,33 +94,101 @@ void BfsScratch::run_levels(const Csr& g, Vertex source, BfsKernel kernel,
                             BfsKernelStats* stats,
                             std::span<const Vertex> targets,
                             bool stop_at_targets) {
+  start(g, source);
+  if (resolve_kernel(kernel, g) == BfsKernel::kHybrid) {
+    run_hybrid(g, stats, targets, stop_at_targets);
+  } else {
+    run_top_down(g, stats, targets, stop_at_targets);
+  }
+}
+
+void BfsScratch::start(const Csr& g, Vertex source) {
   const Vertex n = g.num_vertices();
   if (source >= n) {
     throw std::invalid_argument("bfs_kernel: source out of range");
   }
-  resize(n);
+  if (n != n_) {
+    n_ = n;
+    cells_.assign(n, Cell{});
+    epoch_ = 0;  // bumped to 1 below; every cell is stale by construction
+    const std::size_t words = (static_cast<std::size_t>(n) + 63) / 64;
+    front_bits_.resize(words);
+    next_bits_.resize(words);
+    frontier_.resize(n);
+  }
 
   // New epoch == every previous distance becomes invalid in O(1).  On wrap
-  // (every 2^16 runs) the tags are flushed once so a stale mark from 65536
+  // (every 2^16 runs) the tags are flushed once so a stale cell from 65536
   // runs ago can never alias the fresh epoch.
   if (epoch_ == std::uint16_t(-1)) {
-    std::fill(mark_.begin(), mark_.end(), std::uint16_t{0});
+    for (Cell& cell : cells_) cell.epoch = 0;
     epoch_ = 1;
   } else {
     epoch_ = static_cast<std::uint16_t>(epoch_ + 1);
   }
+  cells_[source] = Cell{0, epoch_};
+  frontier_[0] = source;
+  reached_ = 1;
+  targets_reached_ = 0;
+}
 
-  BfsKernel resolved = kernel;
-  if (resolved == BfsKernel::kAuto) {
-    resolved = g.entries().size() >= kAutoDegree * n ? BfsKernel::kHybrid
-                                                     : BfsKernel::kTopDown;
+bool BfsScratch::targets_done(std::span<const Vertex> targets) {
+  // Between levels only: every target reached so far holds its final
+  // distance, and the level loops stay the full run's.
+  while (targets_reached_ < targets.size() &&
+         cells_[targets[targets_reached_]].epoch == epoch_) {
+    ++targets_reached_;
   }
+  return targets_reached_ == targets.size();
+}
 
-  frontier_.clear();
-  frontier_.push_back(source);
-  dist_[source] = 0;
-  mark_[source] = epoch_;
+void BfsScratch::run_top_down(const Csr& g, BfsKernelStats* stats,
+                              std::span<const Vertex> targets,
+                              bool stop_at_targets) {
+  // The frontier vertices' neighbor ranges and their neighbors' cells are
+  // all this loop reads; the queue is written through a raw cursor, since
+  // n slots always hold every vertex a run can reach.
+  Cell* const cells = cells_.data();
+  Vertex* const queue = frontier_.data();
+  const std::uint16_t epoch = epoch_;
+  std::size_t tail = reached_;
+  std::size_t level_begin = 0;
+  std::uint64_t edges_inspected = 0;
+  std::uint32_t levels = 0;
 
+  while (level_begin < tail) {
+    if (stop_at_targets && targets_done(targets)) break;
+    const std::size_t level_end = tail;
+    const std::uint32_t next_dist = levels + 1;
+    for (std::size_t i = level_begin; i < level_end; ++i) {
+      const auto neighbors = g.neighbors(queue[i]);
+      edges_inspected += neighbors.size();
+      for (const Vertex v : neighbors) {
+        Cell& cell = cells[v];
+        if (cell.epoch != epoch) {
+          cell = Cell{next_dist, epoch};
+          queue[tail++] = v;
+        }
+      }
+    }
+    level_begin = level_end;
+    ++levels;
+  }
+  reached_ = tail;
+  complete_ = level_begin == tail;
+
+  if (stats != nullptr) {
+    stats->edges_inspected = edges_inspected;
+    stats->top_down_levels = levels;
+    stats->bottom_up_levels = 0;
+  }
+}
+
+void BfsScratch::run_hybrid(const Csr& g, BfsKernelStats* stats,
+                            std::span<const Vertex> targets,
+                            bool stop_at_targets) {
+  const Vertex n = g.num_vertices();
+  const Vertex source = frontier_[0];
   const std::uint64_t total_directed = g.entries().size();
   std::uint64_t visited_degree = g.degree(source);  // deg sum over visited
   std::uint64_t level_degree = visited_degree;      // edges out of this level
@@ -136,35 +198,25 @@ void BfsScratch::run_levels(const Csr& g, Vertex source, BfsKernel kernel,
   std::uint32_t bottom_up_levels = 0;
   std::uint32_t depth = 0;
   std::size_t level_begin = 0;
+  std::size_t tail = reached_;
   bool bottom_up = false;
   bool bits_valid = false;  // front_bits_ mirrors the current level slice
-  std::size_t targets_reached = 0;  // targets[0, targets_reached) are marked
 
-  while (level_begin < frontier_.size()) {
-    if (stop_at_targets) {
-      // Between levels only: every target reached so far holds its final
-      // distance, and the level loops below stay the full run's.
-      while (targets_reached < targets.size() &&
-             mark_[targets[targets_reached]] == epoch_) {
-        ++targets_reached;
-      }
-      if (targets_reached == targets.size()) break;
-    }
-    const std::size_t level_end = frontier_.size();
+  while (level_begin < tail) {
+    if (stop_at_targets && targets_done(targets)) break;
+    const std::size_t level_end = tail;
 
-    if (resolved == BfsKernel::kHybrid) {
-      if (!bottom_up) {
-        // The sums were accumulated while this frontier was generated
-        // (Csr offsets are the degree prefix, so each discovered vertex
-        // added its degree in O(1)) — the switch decision is O(1) here.
-        const std::uint64_t unvisited_degree = total_directed - visited_degree;
-        const std::uint64_t next_degree =
-            next_level_estimate(level_degree, prev_degree, unvisited_degree);
-        bottom_up = level_degree > unvisited_degree / kAlpha &&
-                    unvisited_degree - next_degree < level_degree;
-      } else if (level_end - level_begin < n / kBeta) {
-        bottom_up = false;
-      }
+    if (!bottom_up) {
+      // The sums were accumulated while this frontier was generated (Csr
+      // offsets are the degree prefix, so each discovered vertex added its
+      // degree in O(1)) — the switch decision is O(1) here.
+      const std::uint64_t unvisited_degree = total_directed - visited_degree;
+      const std::uint64_t next_degree =
+          next_level_estimate(level_degree, prev_degree, unvisited_degree);
+      bottom_up = level_degree > unvisited_degree / kAlpha &&
+                  unvisited_degree - next_degree < level_degree;
+    } else if (level_end - level_begin < n / kBeta) {
+      bottom_up = false;
     }
 
     const std::uint32_t next_dist = depth + 1;
@@ -184,14 +236,13 @@ void BfsScratch::run_levels(const Csr& g, Vertex source, BfsKernel kernel,
       // Ascending vertex order — the same per-level membership top-down
       // finds, so distances stay byte-identical.
       for (Vertex v = 0; v < n; ++v) {
-        if (mark_[v] == epoch_) continue;
+        if (cells_[v].epoch == epoch_) continue;
         for (Vertex u : g.neighbors(v)) {
           ++edges_inspected;
           if (test_bit(front_bits_, u)) {
-            dist_[v] = next_dist;
-            mark_[v] = epoch_;
+            cells_[v] = Cell{next_dist, epoch_};
             set_bit(next_bits_, v);
-            frontier_.push_back(v);
+            frontier_[tail++] = v;
             const std::uint64_t deg = g.degree(v);
             next_level_degree += deg;
             visited_degree += deg;
@@ -207,10 +258,9 @@ void BfsScratch::run_levels(const Csr& g, Vertex source, BfsKernel kernel,
         const Vertex u = frontier_[i];
         edges_inspected += g.degree(u);
         for (Vertex v : g.neighbors(u)) {
-          if (mark_[v] != epoch_) {
-            dist_[v] = next_dist;
-            mark_[v] = epoch_;
-            frontier_.push_back(v);
+          if (cells_[v].epoch != epoch_) {
+            cells_[v] = Cell{next_dist, epoch_};
+            frontier_[tail++] = v;
             const std::uint64_t deg = g.degree(v);
             next_level_degree += deg;
             visited_degree += deg;
@@ -226,7 +276,8 @@ void BfsScratch::run_levels(const Csr& g, Vertex source, BfsKernel kernel,
     level_degree = next_level_degree;
     ++depth;
   }
-  complete_ = level_begin == frontier_.size();
+  reached_ = tail;
+  complete_ = level_begin == tail;
 
   if (stats != nullptr) {
     stats->edges_inspected = edges_inspected;
@@ -249,13 +300,13 @@ void BfsScratch::copy_distances(std::span<std::uint32_t> out) const {
         "bfs_kernel: copy_distances size must equal num_vertices");
   }
   std::fill(out.begin(), out.end(), kInfDist);
-  for (Vertex v : frontier_) out[v] = dist_[v];
+  for (const Vertex v : reached()) out[v] = cells_[v].dist;
 }
 
 std::uint32_t BfsScratch::max_reached_distance() const {
   require_complete("max_reached_distance");
   std::uint32_t ecc = 0;
-  for (Vertex v : frontier_) ecc = std::max(ecc, dist_[v]);
+  for (const Vertex v : reached()) ecc = std::max(ecc, cells_[v].dist);
   return ecc;
 }
 

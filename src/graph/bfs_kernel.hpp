@@ -20,10 +20,10 @@
 // frontier holds (m_u - m^ < m_f).  A bottom-up level inspects every edge
 // of each unvisited vertex with no frontier neighbor, so it only pays once
 // the next level takes in nearly all of the rest.  Return top-down when the
-// frontier shrinks below n / kBeta.  The degree sums are accumulated while
-// the frontier is built — the Csr offset array is the degree prefix, so each
-// discovered vertex adds its degree in O(1) and the per-level switch
-// decision is O(1).
+// frontier shrinks below n / kBeta.  A hybrid run accumulates the degree
+// sums while the frontier is built — the Csr offset array is the degree
+// prefix, so each discovered vertex adds its degree in O(1) and the
+// per-level switch decision is O(1).
 //
 // Determinism: the kernel exposes *distances only*.  BFS level membership is
 // a property of the graph, not of the traversal order, so every kernel —
@@ -32,11 +32,23 @@
 // rather than trusting the argument, and bench/bfs_kernels fails when a
 // kernel's distances diverge from top-down's.
 //
-// BfsScratch is the reusable per-worker state: the distance array is
-// validity-tagged with a per-run epoch, so starting a new BFS costs
-// O(active) — touched entries of the previous run — instead of an O(n)
-// std::fill.  One scratch per ThreadPool worker makes a sharded loop over
-// sources allocation-free after the first source.
+// BfsScratch is the reusable per-worker state: each vertex owns one 8-byte
+// cell holding its distance and the 16-bit epoch of the run that wrote it,
+// so starting a new BFS costs O(1) — a stale epoch reads as unreached —
+// instead of an O(n) std::fill, and the neighbor check and the distance
+// write of a discovery touch one cache line, not two arrays.  The epoch
+// wraps every 2^16 runs; the run that wraps flushes every cell's tag once.
+// One scratch per ThreadPool worker makes a sharded loop over sources
+// allocation-free after the first source.
+//
+// A run that resolves to top-down (kTopDown, or kAuto on a sparse graph)
+// takes its own level loop: it reads each frontier vertex's neighbor range
+// and the neighbors' cells, and nothing else — no degree reads of the
+// discovered vertices and no degree sums, which only the hybrid switch
+// needs.  How fast that loop runs is set by how scattered the cells of a
+// level's neighbors are; callers that run many BFS over one graph relabel
+// it in its BFS order first (Csr::relabel_bfs_order, used by the oracle
+// and the verifier), which puts each level's cells on few cache lines.
 //
 // A targeted search answers a few distances without a full pass:
 // run(g, s, targets) is the same BFS, stopped at the end of the level that
@@ -75,11 +87,11 @@ struct BfsKernelStats {
   std::uint32_t bottom_up_levels = 0;
 };
 
-/// Reusable BFS state: distance array + epoch marks, the two bitmap
-/// frontiers the bottom-up steps test against, and the frontier vector
-/// (which doubles as the visit-order record of every vertex reached by the
-/// current run).  Create one per worker and reuse it across sources; after
-/// the first run on a given vertex count, run() allocates nothing.
+/// Reusable BFS state: one {distance, epoch} cell per vertex, the two
+/// bitmap frontiers the bottom-up steps test against, and the frontier
+/// vector (which doubles as the visit-order record of every vertex reached
+/// by the current run).  Create one per worker and reuse it across sources;
+/// after the first run on a given vertex count, run() allocates nothing.
 class BfsScratch {
  public:
   /// Runs a single-source BFS over `g` with the requested kernel.
@@ -101,7 +113,7 @@ class BfsScratch {
 
   /// d(source, v) of the last run; kInfDist when v was not reached.
   [[nodiscard]] std::uint32_t distance(Vertex v) const {
-    return mark_[v] == epoch_ ? dist_[v] : kInfDist;
+    return cells_[v].epoch == epoch_ ? cells_[v].dist : kInfDist;
   }
 
   /// Materializes the full distance array of the last run into `out`
@@ -113,7 +125,9 @@ class BfsScratch {
   /// Every vertex reached by the last run, in discovery order (the source
   /// first).  Iterating this instead of [0, n) keeps per-component loops —
   /// eccentricity, component sweeps — O(active).
-  [[nodiscard]] std::span<const Vertex> reached() const { return frontier_; }
+  [[nodiscard]] std::span<const Vertex> reached() const {
+    return {frontier_.data(), reached_};
+  }
 
   /// Max finite distance of the last run (the source's eccentricity within
   /// its component).  O(reached).  Throws std::logic_error after a
@@ -124,20 +138,37 @@ class BfsScratch {
   [[nodiscard]] Vertex num_vertices() const { return n_; }
 
  private:
-  void resize(Vertex n);
+  /// A vertex's BFS state: `dist` is valid iff `epoch` is the scratch's.
+  struct Cell {
+    std::uint32_t dist = 0;
+    std::uint16_t epoch = 0;
+  };
+
+  /// Starts a run from `source` and hands it to the level loop its
+  /// resolved kernel selects.
   void run_levels(const Csr& g, Vertex source, BfsKernel kernel,
                   BfsKernelStats* stats, std::span<const Vertex> targets,
                   bool stop_at_targets);
+  /// Sizes the state for `g`, opens a new epoch and seeds `source`.
+  void start(const Csr& g, Vertex source);
+  void run_top_down(const Csr& g, BfsKernelStats* stats,
+                    std::span<const Vertex> targets, bool stop_at_targets);
+  void run_hybrid(const Csr& g, BfsKernelStats* stats,
+                  std::span<const Vertex> targets, bool stop_at_targets);
+  /// Between levels: whether every target is reached (advances the count
+  /// of targets already known reached).
+  bool targets_done(std::span<const Vertex> targets);
   void require_complete(const char* what) const;
 
   Vertex n_ = 0;
-  std::vector<std::uint32_t> dist_;   // valid iff mark_[v] == epoch_
-  std::vector<std::uint16_t> mark_;   // per-vertex epoch tag
-  std::uint16_t epoch_ = 0;           // wraps; resize()/run() handle the wrap
+  std::vector<Cell> cells_;
+  std::uint16_t epoch_ = 0;  // wraps; start() flushes the tags on the wrap
   bool complete_ = false;  // the last run went on until its frontier emptied
+  std::size_t targets_reached_ = 0;  // targets[0, this) are marked
   std::vector<std::uint64_t> front_bits_;  // current-level bitmap (bottom-up)
   std::vector<std::uint64_t> next_bits_;   // next-level bitmap (bottom-up)
-  std::vector<Vertex> frontier_;      // reached vertices in discovery order
+  std::vector<Vertex> frontier_;  // n slots: reached vertices in visit order
+  std::size_t reached_ = 0;       // frontier_[0, reached_) is the last run's
 };
 
 /// Single-source BFS into a caller-owned buffer: fills `dist` (size n) with

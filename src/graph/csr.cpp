@@ -1,5 +1,8 @@
 #include "graph/csr.hpp"
 
+#include <algorithm>
+#include <stdexcept>
+
 namespace nas::graph {
 
 namespace {
@@ -62,6 +65,53 @@ Graph Csr::to_graph() const {
     }
   }
   return Graph::from_edges(n, edges);
+}
+
+RelabelledCsr Csr::relabel_bfs_order() const {
+  const Vertex n = num_vertices();
+  // order[] is the BFS queue of every component in turn; to_new doubles as
+  // the visited mark (kInvalidVertex until the vertex is queued).
+  std::vector<Vertex> to_new(n, kInvalidVertex);
+  std::vector<Vertex> order;
+  order.reserve(n);
+  for (Vertex root = 0; root < n; ++root) {
+    if (to_new[root] != kInvalidVertex) continue;
+    to_new[root] = static_cast<Vertex>(order.size());
+    order.push_back(root);
+    for (std::size_t head = to_new[root]; head < order.size(); ++head) {
+      for (const Vertex w : neighbors(order[head])) {
+        if (to_new[w] != kInvalidVertex) continue;
+        to_new[w] = static_cast<Vertex>(order.size());
+        order.push_back(w);
+      }
+    }
+  }
+  Csr relabelled = relabel(to_new);
+  return {std::move(relabelled), std::move(to_new)};
+}
+
+Csr Csr::relabel(std::span<const Vertex> to_new) const {
+  const Vertex n = num_vertices();
+  if (to_new.size() != n) {
+    throw std::invalid_argument("Csr::relabel: permutation size must be n");
+  }
+  std::vector<Vertex> to_old(n, kInvalidVertex);
+  for (Vertex v = 0; v < n; ++v) {
+    if (to_new[v] >= n || to_old[to_new[v]] != kInvalidVertex) {
+      throw std::invalid_argument("Csr::relabel: not a permutation of [0, n)");
+    }
+    to_old[to_new[v]] = v;
+  }
+  std::vector<std::uint64_t> offsets(static_cast<std::size_t>(n) + 1, 0);
+  std::vector<Vertex> entries;
+  entries.reserve(entries_.size());
+  for (Vertex v = 0; v < n; ++v) {
+    const auto first = entries.end() - entries.begin();
+    for (const Vertex w : neighbors(to_old[v])) entries.push_back(to_new[w]);
+    std::sort(entries.begin() + first, entries.end());
+    offsets[v + 1] = entries.size();
+  }
+  return adopt(std::move(offsets), std::move(entries));
 }
 
 std::string Csr::summary() const {

@@ -14,6 +14,17 @@
 // per shard — and lets the v2 binary snapshot loader point the spans
 // straight into a util::MappedFile, so warming an oracle from disk is
 // zero-copy.
+//
+// Locality order: relabel_bfs_order() renumbers the vertices in the order a
+// BFS visits them — from the smallest unvisited ID of each component,
+// neighbors ascending — so that vertices a BFS reaches together sit
+// together in every per-vertex array.  An input whose IDs are random with
+// respect to its structure (a geometric graph's points, say) otherwise
+// makes every BFS level read its per-vertex state at random.  Distances
+// are a property of the graph, not of its labelling: d'(to_new[u],
+// to_new[v]) = d(u, v), so a caller that translates IDs at its boundary
+// gets byte-identical answers.  relabel(to_new) applies any permutation;
+// the result's neighbor lists stay ascending in the new IDs.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +36,8 @@
 #include "graph/graph.hpp"
 
 namespace nas::graph {
+
+struct RelabelledCsr;
 
 class Csr {
  public:
@@ -77,6 +90,17 @@ class Csr {
   /// Materializes an adjacency-list Graph with identical neighbor order.
   [[nodiscard]] Graph to_graph() const;
 
+  /// This graph renumbered in its BFS order (see the file comment): vertex
+  /// v becomes to_new[v], where to_new[v] is v's rank in a BFS that starts
+  /// from the smallest unvisited ID of each component in turn and scans
+  /// neighbors in ascending ID order.  Deterministic; O(n + m log Δ).
+  [[nodiscard]] RelabelledCsr relabel_bfs_order() const;
+
+  /// This graph with vertex v renamed to_new[v]; every neighbor list of the
+  /// result is ascending.  Throws std::invalid_argument unless `to_new` is
+  /// a permutation of [0, n).  The result owns fresh arrays.
+  [[nodiscard]] Csr relabel(std::span<const Vertex> to_new) const;
+
   /// Human-readable one-line summary, e.g. "Graph(n=100, m=250)" — same
   /// rendering as Graph::summary() so CLI banners are representation-free.
   [[nodiscard]] std::string summary() const;
@@ -85,6 +109,13 @@ class Csr {
   std::span<const std::uint64_t> offsets_;  // n+1 entries; empty when n == 0
   std::span<const Vertex> entries_;         // 2m directed adjacency entries
   std::shared_ptr<const void> storage_;     // owned vectors or a file mapping
+};
+
+/// A relabelled graph and the permutation that produced it: vertex v of the
+/// original is vertex to_new[v] of `csr`.
+struct RelabelledCsr {
+  Csr csr;
+  std::vector<Vertex> to_new;
 };
 
 }  // namespace nas::graph

@@ -10,19 +10,13 @@ namespace nas::serve {
 
 namespace {
 
-std::vector<apps::SpannerDistanceOracle> make_shards(
-    const graph::Csr& spanner, double multiplicative, double additive,
+// Every shard is a copy of one freshly built (or loaded) oracle: oracle
+// copies share the spanner's arrays and its relabelled search graph, so the
+// relabel runs once per cluster and only the caches are per-shard.
+std::vector<apps::SpannerDistanceOracle> replicate(
+    const apps::SpannerDistanceOracle& prototype,
     const ClusterOptions& options) {
-  const apps::OracleOptions oracle_options{
-      .cache_budget_bytes = options.shard_cache_budget_bytes};
-  std::vector<apps::SpannerDistanceOracle> shards;
-  shards.reserve(options.shards);
-  for (unsigned s = 0; s < options.shards; ++s) {
-    // Csr copies are O(1) views onto the same arrays: every shard serves the
-    // identical immutable structure, only the caches are per-shard.
-    shards.emplace_back(spanner, multiplicative, additive, oracle_options);
-  }
-  return shards;
+  return std::vector<apps::SpannerDistanceOracle>(options.shards, prototype);
 }
 
 }  // namespace
@@ -45,8 +39,13 @@ ShardedCluster::ShardedCluster(const graph::Graph& spanner,
 
 ShardedCluster::ShardedCluster(graph::Csr spanner, double multiplicative,
                                double additive, const ClusterOptions& options)
-    : ShardedCluster(make_shards(spanner, multiplicative, additive, options),
-                     options) {}
+    : ShardedCluster(
+          replicate(apps::SpannerDistanceOracle(
+                        std::move(spanner), multiplicative, additive,
+                        {.cache_budget_bytes =
+                             options.shard_cache_budget_bytes}),
+                    options),
+          options) {}
 
 ShardedCluster ShardedCluster::from_snapshot_files(
     const std::vector<std::string>& paths, const ClusterOptions& options) {
@@ -64,13 +63,15 @@ ShardedCluster ShardedCluster::from_snapshot_files(
       .cache_budget_bytes = options.shard_cache_budget_bytes};
 
   if (paths.size() == 1) {
-    // One snapshot, loaded/mapped once: every oracle views the same CSR
-    // arrays (for a v2 snapshot that is the mmap handoff — the file is
-    // mapped a single time and the mapping is shared across all shards).
-    const auto loaded =
-        apps::SpannerDistanceOracle::load_file(paths.front(), oracle_options);
-    return ShardedCluster(loaded.csr(), loaded.multiplicative(),
-                          loaded.additive(), options);
+    // One snapshot, loaded/mapped and relabelled once: every oracle views
+    // the same CSR arrays (for a v2 snapshot that is the mmap handoff — the
+    // file is mapped a single time and the mapping is shared across all
+    // shards) and the same search graph.
+    return ShardedCluster(
+        replicate(apps::SpannerDistanceOracle::load_file(paths.front(),
+                                                         oracle_options),
+                  options),
+        options);
   }
 
   std::vector<apps::SpannerDistanceOracle> loaded;

@@ -8,9 +8,11 @@
 // the 4·n-bytes-per-source part that actually grows with traffic — needs
 // partitioning.  A ShardedCluster is N shard oracles sharing one immutable
 // CSR spanner (graph::Csr copies are O(1) views onto the same arrays; for a
-// v2 binary snapshot those arrays live in a shared file mapping), each with
-// its own byte-budgeted source cache, fronted by a Router that assigns
-// every request to the shard owning its routing key.
+// v2 binary snapshot those arrays live in a shared file mapping) and one
+// relabelled search graph — every shard is a copy of one oracle, so the
+// spanner is relabelled once per cluster — each with its own byte-budgeted
+// source cache, fronted by a Router that assigns every request to the
+// shard owning its routing key.
 //
 // Determinism contract (the repo's signature guarantee, extended to the
 // cluster): the answer vector returned by `serve` is byte-identical
@@ -105,8 +107,8 @@ class ShardedCluster {
  public:
   /// Partitions serving of `spanner` (guarantee d_H <= multiplicative·d_G +
   /// additive) across options.shards oracles.  The adjacency is converted
-  /// to CSR once and shared by every oracle; per-shard marginal memory is
-  /// just its cache budget.
+  /// to CSR and relabelled once, and both are shared by every oracle;
+  /// per-shard marginal memory is just its cache budget.
   ShardedCluster(const graph::Graph& spanner, double multiplicative,
                  double additive, const ClusterOptions& options = {});
 
@@ -115,11 +117,12 @@ class ShardedCluster {
                  const ClusterOptions& options = {});
 
   /// Warm-starts every shard from one NAS-ORACLE snapshot — loaded/mapped
-  /// ONCE, with all oracles serving the same structure (a v2 snapshot hands
-  /// each one a view into one shared mmap) — or from per-shard snapshot
-  /// paths: `paths` must then have exactly options.shards entries, and
-  /// every snapshot must agree on the vertex universe and the guarantee
-  /// pair (std::runtime_error names the first disagreeing shard otherwise).
+  /// and relabelled ONCE, with all oracles serving the same structure (a v2
+  /// snapshot hands each one a view into one shared mmap) — or from
+  /// per-shard snapshot paths: `paths` must then have exactly
+  /// options.shards entries, and every snapshot must agree on the vertex
+  /// universe and the guarantee pair (std::runtime_error names the first
+  /// disagreeing shard otherwise).
   /// Formats are auto-detected per file (v1 text or v2 binary).
   [[nodiscard]] static ShardedCluster from_snapshot_files(
       const std::vector<std::string>& paths, const ClusterOptions& options = {});

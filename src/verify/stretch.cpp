@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -44,16 +45,20 @@ struct Scratch {
   graph::BfsScratch dh;
 };
 
+/// `g` and `h` are the input graphs relabelled by the one permutation
+/// `to_new`; `s` and every v below are input IDs, so pairs are accumulated
+/// in input vertex order whatever the labelling the searches ran on.
 SourceAccum accumulate_source(const graph::Csr& g, const graph::Csr& h,
-                              Vertex s, double m, double a, Scratch& scratch) {
-  scratch.dg.run(g, s, graph::BfsKernel::kAuto);
-  scratch.dh.run(h, s, graph::BfsKernel::kAuto);
+                              std::span<const Vertex> to_new, Vertex s,
+                              double m, double a, Scratch& scratch) {
+  scratch.dg.run(g, to_new[s], graph::BfsKernel::kAuto);
+  scratch.dh.run(h, to_new[s], graph::BfsKernel::kAuto);
   SourceAccum acc;
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    const std::uint32_t dgv = scratch.dg.distance(v);
+    const std::uint32_t dgv = scratch.dg.distance(to_new[v]);
     if (v == s || dgv == kInfDist) continue;
     ++acc.pairs;
-    const std::uint32_t dhv = scratch.dh.distance(v);
+    const std::uint32_t dhv = scratch.dh.distance(to_new[v]);
     if (dhv == kInfDist) {
       ++acc.disconnected;
       continue;
@@ -87,17 +92,20 @@ StretchReport verify_over_sources(const Graph& g, const Graph& h,
   if (g.num_vertices() != h.num_vertices()) {
     throw std::invalid_argument("verify_stretch: vertex count mismatch");
   }
-  // Convert both adjacencies to CSR once and run every BFS on the flat
-  // arrays (same neighbor order, so the report stays bit-identical to the
-  // adjacency-list path the verifier used before).
-  const graph::Csr gc = graph::Csr::from_graph(g);
-  const graph::Csr hc = graph::Csr::from_graph(h);
+  // Convert both adjacencies to CSR once, relabelled in G's BFS order (H
+  // by the same permutation), and run every BFS on the flat arrays: each
+  // level's cells then sit on few cache lines.  Distances do not depend on
+  // the labelling, and accumulate_source reads them back in input order,
+  // so the report is bit-identical to a search in input order.
+  const auto gc = graph::Csr::from_graph(g).relabel_bfs_order();
+  const graph::Csr hc = graph::Csr::from_graph(h).relabel(gc.to_new);
   std::vector<SourceAccum> partials(sources.size());
   util::ThreadPool::run_sharded(
       sources.size(), threads, [&](std::size_t begin, std::size_t end) {
         Scratch scratch;
         for (std::size_t i = begin; i < end; ++i) {
-          partials[i] = accumulate_source(gc, hc, sources[i], m, a, scratch);
+          partials[i] = accumulate_source(gc.csr, hc, gc.to_new, sources[i],
+                                          m, a, scratch);
         }
       });
 

@@ -271,10 +271,11 @@ TEST(BfsKernel, StatsCountLevelsAndEdges) {
 }
 
 // One scratch reused past the 16-bit epoch space: after the wrap flushes the
-// mark array, stale marks from 65535 runs ago must not leak into distance().
-// Run 1 leaves marks (epoch 1) on {3, 4}; runs 2..65535 stay inside
-// {0, 1, 2}.  The wrap hands epoch 1 to run 65536, which must read vertex 4
-// as unreached.  Past the wrap, runs alternate between the components.
+// cells' epoch tags, stale tags from 65535 runs ago must not leak into
+// distance().  Run 1 leaves epoch 1 on the cells of {3, 4}; runs 2..65535
+// stay inside {0, 1, 2}.  The wrap hands epoch 1 to run 65536, which must
+// read vertex 4 as unreached.  Past the wrap, runs alternate between the
+// components.
 TEST(BfsKernel, EpochWrapAfter64kReuses) {
   const Graph g = Graph::from_edges(5, {{0, 1}, {1, 2}, {3, 4}});
   const auto csr = Csr::from_graph(g);

@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <fstream>
+#include <map>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -17,6 +20,7 @@
 #include "apps/query_workload.hpp"
 #include "core/elkin_matar.hpp"
 #include "graph/apsp.hpp"
+#include "graph/bfs.hpp"
 #include "graph/generators.hpp"
 
 namespace {
@@ -112,6 +116,96 @@ TEST(OracleBatch, BitIdenticalAcrossThreadsAndBudgets) {
       EXPECT_EQ(evictions, 0u);
     }
   }
+}
+
+// --- the relabelled search graph ---------------------------------------------
+
+// The oracle searches csr() relabelled in its BFS order.  On geometric,
+// whose IDs are random with respect to position, that order differs from
+// the input's everywhere, so this is where a translation slip would show.
+// Answers must equal graph::bfs over the input-order spanner, and the
+// counters of ten 64-query zipf batches must equal those of the oracle
+// that searched in input order: cache keys, the smaller-ID rule, LRU ties
+// and the refusal ring are input IDs, and top-down's edge count is the sum
+// of the reached degrees, whatever the labelling.
+TEST(OracleRelabel, GeometricAnswersEqualBfsAndCountersStayPinned) {
+  const Graph g = graph::make_workload("geometric", 600, 7);
+  const Graph h = build_result(g).spanner;
+  const auto queries =
+      apps::make_query_workload(g.num_vertices(), {"zipf", 640, 11, 0.99});
+  std::vector<std::uint32_t> expected;
+  for (const auto& q : queries) expected.push_back(graph::bfs(h, q.u).dist[q.v]);
+
+  // {edges_inspected, bfs_passes, row_bytes, evictions} per batch, as the
+  // input-order oracle counted them.
+  using Counts = std::array<std::uint64_t, 4>;
+  const std::map<std::uint64_t, std::vector<Counts>> pinned = {
+      {0,
+       {{35365, 55, 0, 0}, {35592, 52, 0, 0}, {29553, 52, 0, 0},
+        {32798, 52, 0, 0}, {32118, 48, 0, 0}, {33618, 60, 0, 0},
+        {32412, 55, 0, 0}, {34673, 55, 0, 0}, {35271, 57, 0, 0},
+        {39722, 56, 0, 0}}},
+      {std::uint64_t{8} * g.num_vertices(),
+       {{36852, 55, 4800, 0}, {34363, 50, 0, 0}, {27859, 50, 0, 0},
+        {32798, 52, 0, 0}, {32118, 48, 0, 0}, {32556, 59, 0, 0},
+        {31413, 53, 0, 0}, {34673, 55, 0, 0}, {35964, 57, 2400, 1},
+        {38891, 55, 0, 0}}},
+      {std::uint64_t{64} << 20,
+       {{67870, 55, 132000, 0}, {34552, 28, 67200, 0}, {34552, 28, 67200, 0},
+        {29616, 24, 57600, 0}, {16042, 13, 31200, 0}, {20978, 17, 40800, 0},
+        {20978, 17, 40800, 0}, {14808, 12, 28800, 0}, {25914, 21, 50400, 0},
+        {19744, 16, 38400, 0}}},
+  };
+  constexpr std::size_t kBatch = 64;
+  for (const auto& [budget, want] : pinned) {
+    for (const unsigned threads : {1u, 2u, 8u}) {
+      const SpannerDistanceOracle oracle(h, 1.0, 0.0,
+                                         {.cache_budget_bytes = budget});
+      for (std::size_t b = 0; b < queries.size(); b += kBatch) {
+        apps::BatchStats stats;
+        const auto answers = oracle.batch_query(
+            std::span(queries).subspan(b, kBatch), threads, &stats);
+        const std::string where = "budget=" + std::to_string(budget) +
+                                  " threads=" + std::to_string(threads) +
+                                  " batch=" + std::to_string(b / kBatch);
+        ASSERT_TRUE(std::equal(answers.begin(), answers.end(),
+                               expected.begin() +
+                                   static_cast<std::ptrdiff_t>(b)))
+            << where;
+        EXPECT_EQ((Counts{stats.edges_inspected, stats.bfs_passes,
+                          stats.row_bytes, stats.evictions}),
+                  want[b / kBatch])
+            << where;
+      }
+    }
+  }
+}
+
+TEST(OracleRelabel, CsrStaysInInputOrderAndCopiesShareTheSearchGraph) {
+  const Graph h = build_result(graph::make_workload("geometric", 400, 3))
+                      .spanner;
+  const SpannerDistanceOracle oracle(h, 1.0, 0.0);
+  const auto input_order = graph::Csr::from_graph(h);
+  EXPECT_TRUE(std::ranges::equal(oracle.csr().offsets(),
+                                 input_order.offsets()));
+  EXPECT_TRUE(std::ranges::equal(oracle.csr().entries(),
+                                 input_order.entries()));
+  const auto bfs_order = input_order.relabel_bfs_order().csr;
+  EXPECT_TRUE(std::ranges::equal(oracle.search_csr().offsets(),
+                                 bfs_order.offsets()));
+  EXPECT_TRUE(std::ranges::equal(oracle.search_csr().entries(),
+                                 bfs_order.entries()));
+  EXPECT_FALSE(std::ranges::equal(oracle.search_csr().entries(),
+                                  input_order.entries()));
+
+  const SpannerDistanceOracle copy = oracle;
+  EXPECT_TRUE(copy.csr().shares_storage_with(oracle.csr()));
+  EXPECT_TRUE(copy.search_csr().shares_storage_with(oracle.search_csr()));
+  std::stringstream text;
+  oracle.save(text);
+  std::stringstream direct;
+  SpannerDistanceOracle(graph::Graph(h), 1.0, 0.0).save(direct);
+  EXPECT_EQ(text.str(), direct.str());  // save() writes input order
 }
 
 TEST(OracleBatch, SecondBatchServedFromCache) {

@@ -8,15 +8,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <fstream>
+#include <map>
 #include <numeric>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "apps/distance_oracle.hpp"
 #include "apps/query_workload.hpp"
 #include "core/elkin_matar.hpp"
+#include "graph/bfs.hpp"
 #include "graph/generators.hpp"
 #include "run/runner.hpp"
 #include "run/sinks.hpp"
@@ -255,6 +259,68 @@ TEST(ShardedCluster, CountersAreDeterministicAndThreadIndependent) {
                 reference.per_shard[s].edges_inspected);
       EXPECT_EQ(stats.per_shard[s].row_bytes,
                 reference.per_shard[s].row_bytes);
+    }
+  }
+}
+
+// Every shard searches the one relabelled spanner the cluster built, and
+// still answers and counts as the input-order cluster did: ten 64-query
+// zipf batches over geometric (IDs random with respect to position), 3 hash
+// shards, totals pinned from that cluster at three budgets.
+TEST(ShardedCluster, GeometricAnswersEqualBfsAndCountersStayPinned) {
+  const Graph g = graph::make_workload("geometric", 600, 7);
+  const Graph h = build_result(g).spanner;
+  const auto queries =
+      apps::make_query_workload(g.num_vertices(), {"zipf", 640, 11, 0.99});
+  std::vector<std::uint32_t> expected;
+  for (const auto& q : queries) expected.push_back(graph::bfs(h, q.u).dist[q.v]);
+
+  // {edges_inspected, bfs_passes, row_bytes, evictions} per batch.
+  using Counts = std::array<std::uint64_t, 4>;
+  const std::map<std::uint64_t, std::vector<Counts>> pinned = {
+      {0,
+       {{35365, 55, 0, 0}, {35592, 52, 0, 0}, {29553, 52, 0, 0},
+        {32798, 52, 0, 0}, {32118, 48, 0, 0}, {33618, 60, 0, 0},
+        {32412, 55, 0, 0}, {34673, 55, 0, 0}, {35271, 57, 0, 0},
+        {39722, 56, 0, 0}}},
+      {std::uint64_t{8} * g.num_vertices(),
+       {{38862, 55, 14400, 0}, {33390, 49, 0, 0}, {26630, 48, 0, 0},
+        {31819, 51, 0, 0}, {29993, 46, 0, 0}, {32852, 58, 2400, 1},
+        {31037, 52, 0, 0}, {33898, 53, 0, 0}, {33924, 55, 2400, 1},
+        {37830, 54, 0, 0}}},
+      {std::uint64_t{64} << 20,
+       {{67870, 55, 132000, 0}, {41956, 34, 81600, 0}, {39488, 32, 76800, 0},
+        {37020, 30, 72000, 0}, {24680, 20, 48000, 0}, {35786, 29, 69600, 0},
+        {24680, 20, 48000, 0}, {24680, 20, 48000, 0}, {24680, 20, 48000, 0},
+        {23446, 19, 45600, 0}}},
+  };
+  constexpr std::size_t kBatch = 64;
+  for (const auto& [budget, want] : pinned) {
+    for (const unsigned threads : {1u, 2u, 8u}) {
+      ShardedCluster cluster(h, 1.0, 0.0,
+                             {.shards = 3,
+                              .partition = "hash",
+                              .shard_cache_budget_bytes = budget});
+      for (unsigned s = 1; s < cluster.num_shards(); ++s) {
+        ASSERT_TRUE(cluster.shard(s).search_csr().shares_storage_with(
+            cluster.shard(0).search_csr()));
+      }
+      for (std::size_t b = 0; b < queries.size(); b += kBatch) {
+        ClusterStats stats;
+        const auto answers = cluster.serve(
+            std::span(queries).subspan(b, kBatch), threads, &stats);
+        const std::string where = "budget=" + std::to_string(budget) +
+                                  " threads=" + std::to_string(threads) +
+                                  " batch=" + std::to_string(b / kBatch);
+        ASSERT_TRUE(std::equal(answers.begin(), answers.end(),
+                               expected.begin() +
+                                   static_cast<std::ptrdiff_t>(b)))
+            << where;
+        EXPECT_EQ((Counts{stats.edges_inspected, stats.bfs_passes,
+                          stats.row_bytes, stats.evictions}),
+                  want[b / kBatch])
+            << where;
+      }
     }
   }
 }

@@ -5,6 +5,8 @@
 // runner's snapshot-format axis digest-independence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -189,6 +191,9 @@ TEST(SnapshotV2, ClusterWarmupSharesOneMappingAcrossShards) {
     EXPECT_TRUE(
         cluster.shard(s).csr().shares_storage_with(cluster.shard(0).csr()))
         << "shard " << s << " replicated the structure instead of sharing it";
+    EXPECT_TRUE(cluster.shard(s).search_csr().shares_storage_with(
+        cluster.shard(0).search_csr()))
+        << "shard " << s << " relabelled the spanner again";
   }
 
   auto mutable_cluster = serve::ShardedCluster::from_snapshot_files(
@@ -205,7 +210,35 @@ TEST(SnapshotV2, DirectlyBuiltClusterSharesStorageToo) {
   for (unsigned s = 1; s < cluster.num_shards(); ++s) {
     EXPECT_TRUE(
         cluster.shard(s).csr().shares_storage_with(cluster.shard(0).csr()));
+    EXPECT_TRUE(cluster.shard(s).search_csr().shares_storage_with(
+        cluster.shard(0).search_csr()));
   }
+}
+
+// A loaded oracle searches a relabelled copy, but csr() stays the image's
+// input-order arrays: equal to the spanner's CSR, and a view into the image
+// (offsets and entries back to back, as the file lays them out), not a
+// copy.
+TEST(SnapshotV2, LoadedCsrStaysInInputOrderAndViewsTheImage) {
+  const Graph g = graph::make_workload("geometric", 500, 4);
+  const SpannerDistanceOracle original(build_result(g));
+  const std::string path = temp_path("input_order.naso2");
+  original.save_file(path, SnapshotFormat::kV2);
+  const auto loaded = SpannerDistanceOracle::load_file(path);
+
+  const auto expect = graph::Csr::from_graph(original.spanner());
+  EXPECT_TRUE(std::ranges::equal(loaded.csr().offsets(), expect.offsets()));
+  EXPECT_TRUE(std::ranges::equal(loaded.csr().entries(), expect.entries()));
+  const auto* offsets_end = reinterpret_cast<const std::byte*>(
+      loaded.csr().offsets().data() + loaded.csr().offsets().size());
+  EXPECT_EQ(offsets_end,
+            reinterpret_cast<const std::byte*>(loaded.csr().entries().data()));
+  EXPECT_FALSE(
+      loaded.search_csr().shares_storage_with(loaded.csr()));
+
+  const auto queries =
+      apps::make_query_workload(g.num_vertices(), {"uniform", 300, 5, 0.0});
+  EXPECT_EQ(loaded.batch_query(queries, 2), original.batch_query(queries, 1));
 }
 
 // --- corruption corpus -------------------------------------------------------

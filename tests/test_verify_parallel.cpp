@@ -98,6 +98,64 @@ TEST(VerifyParallel, SampledBitIdenticalAcrossThreadCounts) {
   }
 }
 
+// The verifier searches G relabelled in its BFS order (and H by the same
+// permutation) but accumulates in input vertex order, so its reports must
+// equal, bit for bit, those of the verifier that searched in input order.
+// Pinned from that verifier: geometric (IDs random with respect to
+// position; G resolves to hybrid) and er, n = 600, at every thread count.
+// m = 1 keeps the worst-pair witness live; it is reported in input IDs.
+TEST(VerifyParallel, ReportsPinnedBitForBitOnGeometricAndEr) {
+  const auto report = [](bool bound_ok, std::uint64_t pairs,
+                         std::uint64_t max_mult, std::uint64_t mean_mult,
+                         std::uint64_t max_add, std::uint64_t max_excess,
+                         graph::Vertex u, graph::Vertex v, std::uint32_t dg,
+                         std::uint32_t dh) {
+    verify::StretchReport r;
+    r.bound_ok = bound_ok;
+    r.connectivity_ok = true;
+    r.pairs_checked = pairs;
+    r.max_multiplicative = std::bit_cast<double>(max_mult);
+    r.mean_multiplicative = std::bit_cast<double>(mean_mult);
+    r.max_additive = max_add;
+    r.max_excess = std::bit_cast<double>(max_excess);
+    r.worst_u = u;
+    r.worst_v = v;
+    r.worst_dg = dg;
+    r.worst_dh = dh;
+    return r;
+  };
+  struct Pinned {
+    const char* family;
+    verify::StretchReport exact;    // m = 1, a = 4
+    verify::StretchReport sampled;  // m = 1, a = 2, 40 sources, seed 9
+  };
+  const Pinned cases[] = {
+      {"geometric",
+       report(false, 359400, 0x4037000000000000, 0x4000c747bb223a16, 22,
+              0x4036000000000000, 50, 254, 1, 23),
+       report(false, 23960, 0x4033000000000000, 0x40008a7e3a57d586, 22,
+              0x4036000000000000, 456, 87, 3, 25)},
+      {"er",
+       report(false, 358202, 0x4024000000000000, 0x3fff893551aeedd9, 9,
+              0x4022000000000000, 176, 377, 1, 10),
+       report(false, 23920, 0x4022000000000000, 0x3ffeec9719953761, 8,
+              0x4020000000000000, 30, 120, 1, 9)},
+  };
+  for (const auto& pinned : cases) {
+    const Graph g = graph::make_workload(pinned.family, 600, 7);
+    const Graph h = spanner_of(g);
+    for (unsigned threads : kThreadCounts) {
+      const std::string where =
+          std::string(pinned.family) + ", threads=" + std::to_string(threads);
+      expect_bit_identical(verify::verify_stretch_exact(g, h, 1.0, 4.0, threads),
+                           pinned.exact, where + " exact");
+      expect_bit_identical(
+          verify::verify_stretch_sampled(g, h, 1.0, 2.0, 40, 9, threads),
+          pinned.sampled, where + " sampled");
+    }
+  }
+}
+
 TEST(VerifyParallel, ViolationAndWitnessIdenticalUnderSharding) {
   // Severing cycle(6) into path(6) makes (0, 5) the worst pair; every thread
   // count must agree on the violation and on the witness.
