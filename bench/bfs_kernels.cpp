@@ -1,6 +1,6 @@
 // Experiment K1 — BFS kernel microbench: edges inspected and wall-clock for
-// the top-down, direction-optimizing (hybrid), and auto kernels on the same
-// graphs, in two vertex orders.
+// the top-down, direction-optimizing (hybrid), and auto kernels, and the
+// bit-parallel multi-source BFS, on the same graphs, in two vertex orders.
 //
 // The serving and verification hot paths spend their time in single-source
 // BFS over the Csr view (src/graph/bfs_kernel.hpp).  This bench drives the
@@ -23,14 +23,19 @@
 //
 // It also runs the targeted search the oracle uses for sources it does not
 // cache: the auto run from each source stopped at the next source and the
-// one half the list away ("targets" rows).
+// one half the list away ("targets" rows); and the multi-source BFS the
+// verifier runs over G ("msbfs" rows): the same sources in groups of 64,
+// taken in the order of their IDs in the row's order, as the verifier
+// takes them in G's BFS order; one graph::MultiSourceBfs pass per group
+// (skipped when n is above the 65535 its 16-bit rows hold).
 //
 // Gates make the run self-checking (nonzero exit on violation):
 //   * identity — every kernel's distance array, in either order and mapped
 //     back to input IDs, is byte-identical to input-order top-down's for
 //     every source (distances are level structure, not traversal order or
 //     labelling, so any divergence is a kernel or relabelling bug), and
-//     every targeted search's distances equal top-down's;
+//     every targeted search's distances, and every msbfs lane's row, equal
+//     top-down's;
 //   * work — on the ba and er families (hub-heavy / average degree ~8, the
 //     shapes direction-optimizing targets) hybrid must inspect no more
 //     edges than top-down; and on er, er_dense, ba, grid, geometric and
@@ -43,19 +48,25 @@
 //     position, top-down in the bfs order touches no more lines than in
 //     the input order;
 //   * targeted work — on every family, each stopped run inspects no more
-//     edges than the full auto pass from its source.
+//     edges than the full auto pass from its source;
+//   * msbfs work — on every family, in each order, the msbfs passes
+//     inspect no more edges than top-down does from the same sources: a
+//     pass scans a vertex's edges once per level that some lane reaches it
+//     on, a single-source search once per source that reaches it.
 #include <algorithm>
 #include <array>
 #include <cstdint>
 #include <fstream>
 #include <initializer_list>
 #include <iostream>
+#include <numeric>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "graph/bfs_kernel.hpp"
 #include "graph/csr.hpp"
+#include "graph/multi_source_bfs.hpp"
 #include "run/scenario.hpp"
 #include "util/json.hpp"
 #include "util/timer.hpp"
@@ -109,13 +120,19 @@ struct KernelRow {
   graph::Vertex n = 0;
   std::size_t m = 0;
   std::string order = "input";  ///< "input" | "bfs"
-  graph::BfsKernel kernel = graph::BfsKernel::kTopDown;
+  std::string kernel;           ///< bfs_kernel_name, or "msbfs"
   std::string search = "full";  ///< "full" | "targets"
   graph::BfsKernelStats stats;
-  std::uint64_t lines_touched = 0;  ///< meaningful iff no bottom-up level
+  std::uint64_t lines_touched = 0;  ///< meaningful iff has_lines(row)
   double wall_ms = 0.0;
   bool identical = true;
 };
+
+/// lines_touched is counted for the single-source rows whose every level
+/// ran top-down.
+bool has_lines(const KernelRow& row) {
+  return row.kernel != "msbfs" && row.stats.bottom_up_levels == 0;
+}
 
 void add_stats(graph::BfsKernelStats& total,
                const graph::BfsKernelStats& run) {
@@ -204,6 +221,7 @@ int main(int argc, char** argv) {
   bool order_work_ok = true;
   bool locality_ok = true;
   bool targeted_work_ok = true;
+  bool msbfs_work_ok = true;
   for (const auto& family : family_list) {
     for (const auto n : n_list) {
       const auto g = graph::make_workload(family, n, seed);
@@ -225,7 +243,7 @@ int main(int argc, char** argv) {
         const auto id = [&](graph::Vertex v) {
           return bfs_order ? relabelled.to_new[v] : v;
         };
-        const auto new_row = [&](graph::BfsKernel kernel, const char* search) {
+        const auto new_row = [&](const char* kernel, const char* search) {
           KernelRow row;
           row.family = family;
           row.n = g.num_vertices();
@@ -240,7 +258,7 @@ int main(int argc, char** argv) {
         std::vector<std::uint64_t> auto_pass;
         std::uint64_t topdown_edges = 0;
         for (const auto kernel : kKernels) {
-          KernelRow row = new_row(kernel, "full");
+          KernelRow row = new_row(graph::bfs_kernel_name(kernel), "full");
           graph::BfsScratch scratch;
           std::vector<std::uint32_t> dist(g.num_vertices());
           util::Timer timer;
@@ -286,7 +304,7 @@ int main(int argc, char** argv) {
         }
 
         // The stopped runs, with targets taken from the source list.
-        KernelRow stopped = new_row(graph::BfsKernel::kAuto, "targets");
+        KernelRow stopped = new_row("auto", "targets");
         graph::BfsScratch scratch;
         util::Timer stopped_timer;
         for (std::size_t i = 0; i < sources.size(); ++i) {
@@ -314,22 +332,63 @@ int main(int argc, char** argv) {
         stopped.wall_ms = stopped_timer.millis();
         all_identical = all_identical && stopped.identical;
         rows.push_back(stopped);
+
+        // The multi-source passes: 64 sources per pass, by ascending ID in
+        // this order.
+        if (g.num_vertices() > graph::MultiSourceBfs::kMaxVertices) continue;
+        constexpr std::size_t kLanes = graph::MultiSourceBfs::kMaxLanes;
+        KernelRow lanes = new_row("msbfs", "full");
+        std::vector<std::size_t> by_id(sources.size());
+        std::iota(by_id.begin(), by_id.end(), std::size_t{0});
+        std::sort(by_id.begin(), by_id.end(),
+                  [&](std::size_t x, std::size_t y) {
+                    return id(sources[x]) < id(sources[y]);
+                  });
+        graph::MultiSourceBfs pass;
+        std::vector<std::uint16_t> lane_rows;
+        std::vector<graph::Vertex> group;
+        util::Timer lanes_timer;
+        for (std::size_t first = 0; first < sources.size(); first += kLanes) {
+          const std::size_t last = std::min(first + kLanes, sources.size());
+          group.clear();
+          for (std::size_t k = first; k < last; ++k) {
+            group.push_back(id(sources[by_id[k]]));
+          }
+          lane_rows.resize(group.size() * g.num_vertices());
+          graph::BfsKernelStats stats;
+          pass.run(csr, group, lane_rows, &stats);
+          add_stats(lanes.stats, stats);
+          for (std::size_t k = first; k < last; ++k) {
+            const std::size_t i = by_id[k];
+            const std::uint16_t* row =
+                lane_rows.data() + (k - first) * g.num_vertices();
+            for (graph::Vertex v = 0; v < g.num_vertices(); ++v) {
+              const std::uint16_t d = row[id(v)];
+              const std::uint32_t got =
+                  d == graph::MultiSourceBfs::kUnreached ? graph::kInfDist : d;
+              if (got != reference[i][v]) lanes.identical = false;
+            }
+          }
+        }
+        lanes.wall_ms = lanes_timer.millis();
+        msbfs_work_ok =
+            msbfs_work_ok && lanes.stats.edges_inspected <= topdown_edges;
+        all_identical = all_identical && lanes.identical;
+        rows.push_back(lanes);
       }
     }
   }
 
-  // lines_touched is defined for rows whose every level ran top-down.
   const auto lines = [](const KernelRow& row) {
-    return row.stats.bottom_up_levels == 0
-               ? std::to_string(row.lines_touched)
-               : std::string("-");
+    return has_lines(row) ? std::to_string(row.lines_touched)
+                          : std::string("-");
   };
   util::Table t({"family", "n", "order", "kernel", "search",
                  "edges inspected", "lines touched", "td lvls", "bu lvls",
                  "ms", "identical"});
   for (const auto& row : rows) {
-    t.add_row({row.family, std::to_string(row.n), row.order,
-               graph::bfs_kernel_name(row.kernel), row.search,
+    t.add_row({row.family, std::to_string(row.n), row.order, row.kernel,
+               row.search,
                std::to_string(row.stats.edges_inspected), lines(row),
                std::to_string(row.stats.top_down_levels),
                std::to_string(row.stats.bottom_up_levels),
@@ -338,18 +397,19 @@ int main(int argc, char** argv) {
   }
   std::cout << "\n";
   t.print(std::cout);
-  std::cout << "\nidentity gate: every kernel's distances, and every "
-               "stopped run's, in either order, match input-order "
-               "top-down's byte-for-byte; work gate: hybrid edges <= "
-               "topdown on ba/er, auto edges <= topdown on "
+  std::cout << "\nidentity gate: every kernel's distances, every "
+               "stopped run's and every msbfs lane's, in either order, "
+               "match input-order top-down's byte-for-byte; work gate: "
+               "hybrid edges <= topdown on ba/er, auto edges <= topdown on "
                "er/er_dense/ba/grid/geometric/hypercube, in each order, and "
                "topdown edges equal across orders; locality gate: on "
                "geometric, bfs-order topdown lines <= input-order; "
                "targeted work gate: per source, targets <= the auto "
-               "pass.\n";
+               "pass; msbfs work gate: msbfs edges <= topdown's over the "
+               "same sources, on every family.\n";
   if (!all_identical) {
-    std::cout << "ERROR: a kernel's or a stopped run's distances diverged "
-                 "from top-down.\n";
+    std::cout << "ERROR: a kernel's, a stopped run's or an msbfs lane's "
+                 "distances diverged from top-down.\n";
   }
   if (!work_gate_ok) {
     std::cout << "ERROR: hybrid or auto inspected more edges than top-down "
@@ -367,6 +427,10 @@ int main(int argc, char** argv) {
     std::cout << "ERROR: a stopped run inspected more edges than the "
                  "full auto pass from its source.\n";
   }
+  if (!msbfs_work_ok) {
+    std::cout << "ERROR: the msbfs passes inspected more edges than "
+                 "top-down from the same sources.\n";
+  }
 
   if (!json_path.empty()) {
     std::string out = "[\n";
@@ -377,7 +441,7 @@ int main(int argc, char** argv) {
           {"n", util::JsonValue::number(static_cast<std::uint64_t>(row.n))},
           {"m", util::JsonValue::number(static_cast<std::uint64_t>(row.m))},
           {"order", util::JsonValue::str(row.order)},
-          {"kernel", util::JsonValue::str(graph::bfs_kernel_name(row.kernel))},
+          {"kernel", util::JsonValue::str(row.kernel)},
           {"search", util::JsonValue::str(row.search)},
           {"sources", util::JsonValue::number(num_sources)},
           {"edges_inspected",
@@ -389,9 +453,8 @@ int main(int argc, char** argv) {
            util::JsonValue::number(
                static_cast<std::uint64_t>(row.stats.bottom_up_levels))},
           {"lines_touched",
-           row.stats.bottom_up_levels == 0
-               ? util::JsonValue::number(row.lines_touched)
-               : util::JsonValue::literal("null")},
+           has_lines(row) ? util::JsonValue::number(row.lines_touched)
+                          : util::JsonValue::literal("null")},
           {"wall_ms",
            util::JsonValue::literal(run::format_real(row.wall_ms, 4))},
           {"identical_to_topdown", util::JsonValue::boolean(row.identical)},
@@ -412,7 +475,7 @@ int main(int argc, char** argv) {
   }
 
   return all_identical && work_gate_ok && order_work_ok && locality_ok &&
-                 targeted_work_ok
+                 targeted_work_ok && msbfs_work_ok
              ? 0
              : 1;
 }

@@ -53,14 +53,14 @@ inline bool test_bit(const std::vector<std::uint64_t>& bits, Vertex v) {
   return ((bits[v >> 6] >> (v & 63U)) & 1U) != 0;
 }
 
-BfsKernel resolve_kernel(BfsKernel kernel, const Csr& g) {
+}  // namespace
+
+BfsKernel resolve_bfs_kernel(BfsKernel kernel, const Csr& g) {
   if (kernel != BfsKernel::kAuto) return kernel;
   return g.entries().size() >= kAutoDegree * g.num_vertices()
              ? BfsKernel::kHybrid
              : BfsKernel::kTopDown;
 }
-
-}  // namespace
 
 const char* bfs_kernel_name(BfsKernel kernel) {
   switch (kernel) {
@@ -95,7 +95,7 @@ void BfsScratch::run_levels(const Csr& g, Vertex source, BfsKernel kernel,
                             std::span<const Vertex> targets,
                             bool stop_at_targets) {
   start(g, source);
-  if (resolve_kernel(kernel, g) == BfsKernel::kHybrid) {
+  if (resolve_bfs_kernel(kernel, g) == BfsKernel::kHybrid) {
     run_hybrid(g, stats, targets, stop_at_targets);
   } else {
     run_top_down(g, stats, targets, stop_at_targets);

@@ -1,9 +1,12 @@
 // Direction-optimizing BFS kernel — the serving/verification hot loop.
 //
-// Every answer the system produces (oracle queries, cluster serving, stretch
-// verification, APSP rows) bottoms out in a single-source BFS over a
-// graph::Csr.  This layer replaces the plain top-down traversal with a
-// Beamer-style hybrid kernel that switches between two strategies per level:
+// Every answer the system produces (oracle queries, cluster serving, APSP
+// rows, and stretch verification over H and over sparse G) bottoms out in
+// a single-source BFS over a graph::Csr; stretch verification over a dense
+// G runs 64 sources per pass instead (graph/multi_source_bfs.hpp), where
+// resolve_bfs_kernel's density rule sends `auto` to hybrid.  This layer
+// replaces the plain top-down traversal with a Beamer-style hybrid kernel
+// that switches between two strategies per level:
 //
 //   * top-down:  expand the frontier vertex list, inspecting every edge out
 //                of the frontier — cheap while the frontier is small;
@@ -76,6 +79,12 @@ enum class BfsKernel {
 
 /// The kernel's name: "topdown" | "hybrid" | "auto".
 [[nodiscard]] const char* bfs_kernel_name(BfsKernel kernel);
+
+/// The kernel a run over `g` takes: kAuto becomes kHybrid when g's average
+/// directed degree is at least 5 (the density rule), kTopDown otherwise;
+/// the other kernels resolve to themselves.  The verifier reads the same
+/// rule to decide where multi-source passes pay (see MultiSourceBfs).
+[[nodiscard]] BfsKernel resolve_bfs_kernel(BfsKernel kernel, const Csr& g);
 
 /// Per-run traversal counters.  `edges_inspected` is the kernel's work
 /// measure — every neighbor peek counts once, in either direction — and is

@@ -2,11 +2,15 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstddef>
+#include <numeric>
 #include <span>
 #include <stdexcept>
 #include <vector>
 
 #include "graph/bfs_kernel.hpp"
+#include "graph/csr.hpp"
+#include "graph/multi_source_bfs.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -36,29 +40,20 @@ struct SourceAccum {
   std::uint32_t worst_dh = 0;
 };
 
-/// Per-shard scratch: one direction-optimizing BfsScratch per graph, reused
-/// across the shard's sources, so a shard of k sources costs zero
-/// allocations after its first source and resets distances in O(active)
-/// per source instead of two O(n) fills.
-struct Scratch {
-  graph::BfsScratch dg;
-  graph::BfsScratch dh;
-};
-
-/// `g` and `h` are the input graphs relabelled by the one permutation
-/// `to_new`; `s` and every v below are input IDs, so pairs are accumulated
-/// in input vertex order whatever the labelling the searches ran on.
-SourceAccum accumulate_source(const graph::Csr& g, const graph::Csr& h,
-                              std::span<const Vertex> to_new, Vertex s,
-                              double m, double a, Scratch& scratch) {
-  scratch.dg.run(g, to_new[s], graph::BfsKernel::kAuto);
-  scratch.dh.run(h, to_new[s], graph::BfsKernel::kAuto);
+/// The pairs (s, v) of source `s`, accumulated in input vertex order: the
+/// H search runs on `dh` over H relabelled in its own BFS order, and `dg(v)`
+/// is d_G(s, v), kInfDist where v is unreachable; s and v are input IDs.
+template <class DistG>
+SourceAccum accumulate_source(const graph::RelabelledCsr& h, Vertex s,
+                              double m, double a, DistG dg,
+                              graph::BfsScratch& dh) {
+  dh.run(h.csr, h.to_new[s], graph::BfsKernel::kAuto);
   SourceAccum acc;
-  for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    const std::uint32_t dgv = scratch.dg.distance(to_new[v]);
+  for (Vertex v = 0; v < h.csr.num_vertices(); ++v) {
+    const std::uint32_t dgv = dg(v);
     if (v == s || dgv == kInfDist) continue;
     ++acc.pairs;
-    const std::uint32_t dhv = scratch.dh.distance(to_new[v]);
+    const std::uint32_t dhv = dh.distance(h.to_new[v]);
     if (dhv == kInfDist) {
       ++acc.disconnected;
       continue;
@@ -82,6 +77,16 @@ SourceAccum accumulate_source(const graph::Csr& g, const graph::Csr& h,
   return acc;
 }
 
+/// Whether G is searched in multi-source passes: where the density rule
+/// sends `auto` to hybrid, a shared scan of a vertex's edges serves enough
+/// lanes to pay for itself (on grids and trees it does not), and the
+/// 16-bit rows must hold G's distances.
+bool lanes_pay(const graph::Csr& g) {
+  return g.num_vertices() <= graph::MultiSourceBfs::kMaxVertices &&
+         graph::resolve_bfs_kernel(graph::BfsKernel::kAuto, g) ==
+             graph::BfsKernel::kHybrid;
+}
+
 /// Shared driver behind the exact and sampled entry points: per-source
 /// partials (sharded across a worker pool when threads != 1), then a
 /// deterministic merge in source order with first-wins tie-breaking on the
@@ -92,22 +97,73 @@ StretchReport verify_over_sources(const Graph& g, const Graph& h,
   if (g.num_vertices() != h.num_vertices()) {
     throw std::invalid_argument("verify_stretch: vertex count mismatch");
   }
-  // Convert both adjacencies to CSR once, relabelled in G's BFS order (H
-  // by the same permutation), and run every BFS on the flat arrays: each
-  // level's cells then sit on few cache lines.  Distances do not depend on
-  // the labelling, and accumulate_source reads them back in input order,
-  // so the report is bit-identical to a search in input order.
+  // Each graph is searched relabelled in its own BFS order, so each level's
+  // cells sit on few cache lines.  Distances do not depend on the
+  // labelling, and accumulate_source reads them back through each graph's
+  // to_new in input order, so the report is bit-identical to a search in
+  // input order.
   const auto gc = graph::Csr::from_graph(g).relabel_bfs_order();
-  const graph::Csr hc = graph::Csr::from_graph(h).relabel(gc.to_new);
+  const auto hc = graph::Csr::from_graph(h).relabel_bfs_order();
+  const Vertex n = g.num_vertices();
   std::vector<SourceAccum> partials(sources.size());
-  util::ThreadPool::run_sharded(
-      sources.size(), threads, [&](std::size_t begin, std::size_t end) {
-        Scratch scratch;
-        for (std::size_t i = begin; i < end; ++i) {
-          partials[i] = accumulate_source(gc.csr, hc, gc.to_new, sources[i],
-                                          m, a, scratch);
-        }
-      });
+  if (lanes_pay(gc.csr)) {
+    // Sources in fixed groups of 64, one multi-source pass over G per
+    // group, taken in the order of the sources' IDs in G's BFS order: a
+    // group's sources then lie near each other, and their lanes reach more
+    // vertices on the same level, so they share more edge scans than
+    // sources taken in input order.  The sources are distinct, so the
+    // groups are fixed by them alone; shards are groups, so no partial
+    // depends on the thread count.
+    constexpr std::size_t kLanes = graph::MultiSourceBfs::kMaxLanes;
+    std::vector<std::size_t> by_bfs_id(sources.size());
+    std::iota(by_bfs_id.begin(), by_bfs_id.end(), std::size_t{0});
+    std::sort(by_bfs_id.begin(), by_bfs_id.end(),
+              [&](std::size_t x, std::size_t y) {
+                return gc.to_new[sources[x]] < gc.to_new[sources[y]];
+              });
+    const std::size_t groups = (sources.size() + kLanes - 1) / kLanes;
+    util::ThreadPool::run_sharded(
+        groups, threads, [&](std::size_t begin, std::size_t end) {
+          graph::MultiSourceBfs pass;
+          graph::BfsScratch dh;
+          std::vector<Vertex> lanes;
+          std::vector<std::uint16_t> rows;
+          for (std::size_t group = begin; group < end; ++group) {
+            const std::size_t first = group * kLanes;
+            const std::span members(by_bfs_id.data() + first,
+                                    std::min(kLanes, sources.size() - first));
+            lanes.clear();
+            for (const std::size_t i : members) {
+              lanes.push_back(gc.to_new[sources[i]]);
+            }
+            rows.resize(lanes.size() * n);
+            pass.run(gc.csr, lanes, rows);
+            for (std::size_t lane = 0; lane < members.size(); ++lane) {
+              const std::uint16_t* row = rows.data() + lane * n;
+              const auto dg = [&](Vertex v) -> std::uint32_t {
+                const std::uint16_t d = row[gc.to_new[v]];
+                return d == graph::MultiSourceBfs::kUnreached ? kInfDist : d;
+              };
+              const std::size_t i = members[lane];
+              partials[i] = accumulate_source(hc, sources[i], m, a, dg, dh);
+            }
+          }
+        });
+  } else {
+    util::ThreadPool::run_sharded(
+        sources.size(), threads, [&](std::size_t begin, std::size_t end) {
+          graph::BfsScratch dg_scratch;
+          graph::BfsScratch dh;
+          const auto dg = [&](Vertex v) {
+            return dg_scratch.distance(gc.to_new[v]);
+          };
+          for (std::size_t i = begin; i < end; ++i) {
+            dg_scratch.run(gc.csr, gc.to_new[sources[i]],
+                           graph::BfsKernel::kAuto);
+            partials[i] = accumulate_source(hc, sources[i], m, a, dg, dh);
+          }
+        });
+  }
 
   StretchReport rep;
   double mult_sum = 0.0;

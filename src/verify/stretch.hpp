@@ -5,13 +5,24 @@
 // test-suite oracle; `verify_stretch_sampled` BFS-es from a deterministic
 // sample of sources and is used at bench scale.
 //
-// Both verifiers are source-sharded: with `threads` > 1 the BFS sources are
-// split into contiguous blocks processed on a worker pool, and the
-// per-source partial reports are merged afterwards in fixed source order.
-// Because every per-source partial is computed identically regardless of
-// which worker runs it, and the merge order never depends on the thread
-// count, the returned StretchReport is bit-identical to the serial
-// (threads == 1) result for every thread count.
+// Each graph is searched relabelled in its own BFS order.  Over G, where
+// the `auto` kernel's density rule holds (average directed degree >= 5)
+// and n <= 65535, the sources go in fixed groups of 64, taken in the order
+// of their IDs in G's BFS order so that a group's sources lie near each
+// other, and each group is one graph::MultiSourceBfs pass into 16-bit rows;
+// elsewhere (grids, trees, paths), where a shared edge scan serves too few
+// lanes to pay, each source is one single-source BFS.  Over H, each source
+// is one single-source BFS.  Pairs are accumulated per source, in input
+// vertex order, by the same loop on either path.
+//
+// Both verifiers are sharded: with `threads` > 1 the work items — lane
+// groups, or sources on the per-source path — are split into contiguous
+// blocks processed on a worker pool, and the per-source partial reports
+// are merged afterwards in fixed source order.  Because every per-source
+// partial is computed identically regardless of which worker runs it, and
+// the merge order never depends on the thread count, the returned
+// StretchReport is bit-identical to the serial (threads == 1) result for
+// every thread count.
 #pragma once
 
 #include <cstdint>

@@ -7,7 +7,8 @@
 // thread count.  A run stopped at its targets must give the reference
 // distance of every target it was asked for.  The epoch-tagged scratch
 // additionally has a 16-bit wrap path that only fires after 65535 reuses;
-// that wrap is exercised here.
+// that wrap is exercised here.  The bit-parallel multi-source BFS must give
+// every lane the single-source distances of its source.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,6 +25,7 @@
 #include "graph/bfs_kernel.hpp"
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
+#include "graph/multi_source_bfs.hpp"
 
 namespace {
 
@@ -34,6 +36,7 @@ using graph::BfsScratch;
 using graph::Csr;
 using graph::Graph;
 using graph::kInfDist;
+using graph::MultiSourceBfs;
 using graph::Vertex;
 
 constexpr std::array<BfsKernel, 3> kKernels = {
@@ -332,6 +335,157 @@ TEST(BfsKernel, OracleBatchesMatchReferenceAcrossThreads) {
     EXPECT_EQ(oracle.batch_query(queries, threads), want)
         << "threads " << threads;
   }
+}
+
+// ---------------------------------------------------------------------------
+// MultiSourceBfs: up to 64 lanes per pass, one 16-bit row per lane.
+
+/// Lane `lane` of `rows` (n entries each) with kUnreached read as kInfDist,
+/// so it compares directly with a graph::bfs distance array.
+std::vector<std::uint32_t> lane_row(const std::vector<std::uint16_t>& rows,
+                                    std::size_t lane, Vertex n) {
+  std::vector<std::uint32_t> row(n);
+  for (Vertex v = 0; v < n; ++v) {
+    const std::uint16_t d = rows[lane * n + v];
+    row[v] = d == MultiSourceBfs::kUnreached ? kInfDist : d;
+  }
+  return row;
+}
+
+/// One pass from `lanes` sources strided over g's IDs: every lane's row
+/// equals graph::bfs from its source, and the pass inspects no more edges
+/// than top-down does from each source in turn (exactly as many with one
+/// lane).
+void expect_lanes_match_reference(const Graph& g, std::size_t lanes,
+                                  MultiSourceBfs& pass,
+                                  const std::string& what) {
+  const auto csr = Csr::from_graph(g);
+  const Vertex n = g.num_vertices();
+  std::vector<Vertex> sources;
+  for (std::size_t i = 0; i < lanes; ++i) {
+    sources.push_back(static_cast<Vertex>((i * 37 + 3) % n));
+  }
+  std::vector<std::uint16_t> rows(lanes * n);
+  BfsKernelStats stats;
+  pass.run(csr, sources, rows, &stats);
+  BfsScratch scratch;
+  std::uint64_t topdown_edges = 0;
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    EXPECT_EQ(lane_row(rows, lane, n), reference_dist(g, sources[lane]))
+        << what << ", " << lanes << " lanes, lane " << lane << ", source "
+        << sources[lane];
+    BfsKernelStats single;
+    scratch.run(csr, sources[lane], BfsKernel::kTopDown, &single);
+    topdown_edges += single.edges_inspected;
+  }
+  EXPECT_LE(stats.edges_inspected, topdown_edges) << what << ", " << lanes;
+  if (lanes == 1) {
+    EXPECT_EQ(stats.edges_inspected, topdown_edges) << what;
+  }
+  EXPECT_EQ(stats.bottom_up_levels, 0u) << what;
+}
+
+// Every lane reproduces graph::bfs at 1, 2, 63 and 64 lanes, on sparse and
+// dense families, on a dumbbell (two dense blobs joined by a path) and on a
+// graph of two components and an isolated vertex, where each lane reads
+// kUnreached outside its source's component.  One instance serves every
+// case, so its reuse across graphs is covered too.
+TEST(MultiSourceBfs, EveryLaneMatchesReference) {
+  const Graph two = Graph::from_edges(
+      21, {{0, 1}, {1, 2}, {2, 3}, {3, 0}, {3, 4}, {4, 5}, {5, 6}, {7, 8},
+           {8, 9}, {9, 10}, {10, 11}, {11, 12}, {12, 7}, {9, 13}, {13, 14},
+           {14, 15}, {15, 16}, {16, 17}, {17, 18}, {18, 19}});
+  const std::vector<std::pair<std::string, Graph>> graphs = {
+      {"er", graph::make_workload("er", 250, 7)},
+      {"grid", graph::make_workload("grid", 250, 7)},
+      {"caveman", graph::make_workload("caveman", 250, 7)},
+      {"dumbbell", graph::make_workload("dumbbell", 250, 7)},
+      {"two components", two},
+  };
+  MultiSourceBfs pass;
+  for (const auto& [name, g] : graphs) {
+    for (const std::size_t lanes : {1U, 2U, 63U, 64U}) {
+      expect_lanes_match_reference(g, lanes, pass, name);
+    }
+  }
+  // The isolated vertex 20 and the other component stay unreached.
+  const auto csr = Csr::from_graph(two);
+  const std::vector<Vertex> sources{0, 20, 9};
+  std::vector<std::uint16_t> rows(3 * 21);
+  pass.run(csr, sources, rows);
+  EXPECT_EQ(rows[0 * 21 + 6], 4u);
+  EXPECT_EQ(rows[0 * 21 + 7], MultiSourceBfs::kUnreached);
+  EXPECT_EQ(rows[1 * 21 + 20], 0u);
+  EXPECT_EQ(rows[1 * 21 + 0], MultiSourceBfs::kUnreached);
+  EXPECT_EQ(rows[2 * 21 + 19], 7u);
+  EXPECT_EQ(rows[2 * 21 + 20], MultiSourceBfs::kUnreached);
+}
+
+// Duplicate sources share a frontier entry but each lane still gets its
+// own row; a one-vertex graph fills every lane with distance 0; and one
+// instance reused across graphs of different n is exact on each.
+TEST(MultiSourceBfs, DuplicatesSingleVertexAndReuse) {
+  const Graph g = graph::make_workload("er", 200, 11);
+  const auto csr = Csr::from_graph(g);
+  const Vertex n = g.num_vertices();
+  MultiSourceBfs pass;
+  const std::vector<Vertex> dup{5, 5, 0, 5, 0};
+  std::vector<std::uint16_t> rows(dup.size() * n);
+  pass.run(csr, dup, rows);
+  for (std::size_t lane = 0; lane < dup.size(); ++lane) {
+    EXPECT_EQ(lane_row(rows, lane, n), reference_dist(g, dup[lane]))
+        << "lane " << lane;
+  }
+
+  const auto one = Csr::from_graph(Graph::from_edges(1, {}));
+  const std::vector<Vertex> zeros(MultiSourceBfs::kMaxLanes, 0);
+  std::vector<std::uint16_t> one_rows(zeros.size(), 7);
+  BfsKernelStats stats;
+  pass.run(one, zeros, one_rows, &stats);
+  EXPECT_EQ(one_rows, std::vector<std::uint16_t>(zeros.size(), 0));
+  EXPECT_EQ(stats.edges_inspected, 0u);
+
+  const Graph small = graph::path(4);
+  const auto small_csr = Csr::from_graph(small);
+  for (int round = 0; round < 3; ++round) {
+    std::vector<std::uint16_t> small_rows(2 * 4);
+    const std::vector<Vertex> ends{0, 3};
+    pass.run(small_csr, ends, small_rows);
+    EXPECT_EQ(lane_row(small_rows, 0, 4), reference_dist(small, 0));
+    EXPECT_EQ(lane_row(small_rows, 1, 4), reference_dist(small, 3));
+    const std::vector<Vertex> two{17, 150};
+    std::vector<std::uint16_t> big_rows(2 * std::size_t{n});
+    pass.run(csr, two, big_rows);
+    EXPECT_EQ(lane_row(big_rows, 0, n), reference_dist(g, 17));
+    EXPECT_EQ(lane_row(big_rows, 1, n), reference_dist(g, 150));
+  }
+}
+
+TEST(MultiSourceBfs, RejectsBadArguments) {
+  const auto csr = Csr::from_graph(graph::path(4));
+  MultiSourceBfs pass;
+  std::vector<std::uint16_t> rows(65 * 4);
+  const std::vector<Vertex> none;
+  EXPECT_THROW(pass.run(csr, none, std::span(rows).first(0)),
+               std::invalid_argument);
+  const std::vector<Vertex> too_many(65, 0);
+  EXPECT_THROW(pass.run(csr, too_many, rows), std::invalid_argument);
+  const std::vector<Vertex> out_of_range{0, 4};
+  EXPECT_THROW(pass.run(csr, out_of_range, std::span(rows).first(8)),
+               std::invalid_argument);
+  const std::vector<Vertex> two{0, 3};
+  EXPECT_THROW(pass.run(csr, two, std::span(rows).first(7)),
+               std::invalid_argument);
+  EXPECT_THROW(pass.run(csr, two, std::span(rows).first(9)),
+               std::invalid_argument);
+  pass.run(csr, two, std::span(rows).first(8));  // the right size runs
+
+  // One vertex past what 16-bit rows can hold.
+  const auto huge = Csr::from_graph(
+      Graph::from_edges(MultiSourceBfs::kMaxVertices + 1, {}));
+  const std::vector<Vertex> first{0};
+  std::vector<std::uint16_t> huge_row(huge.num_vertices());
+  EXPECT_THROW(pass.run(huge, first, huge_row), std::invalid_argument);
 }
 
 }  // namespace

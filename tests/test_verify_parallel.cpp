@@ -98,12 +98,16 @@ TEST(VerifyParallel, SampledBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// The verifier searches G relabelled in its BFS order (and H by the same
-// permutation) but accumulates in input vertex order, so its reports must
-// equal, bit for bit, those of the verifier that searched in input order.
-// Pinned from that verifier: geometric (IDs random with respect to
-// position; G resolves to hybrid) and er, n = 600, at every thread count.
-// m = 1 keeps the worst-pair witness live; it is reported in input IDs.
+// The verifier searches relabelled copies of G and H but accumulates in
+// input vertex order, and over G it runs 64 sources per multi-source pass
+// where the graph is dense enough (geometric, er, caveman and ba at
+// n = 600) and one single-source pass per source where it is not (grid).
+// Either way its reports must equal, bit for bit, those of the verifier
+// that ran one single-source search of G and one of H per source, from
+// which these are pinned, at every thread count.  The 100-source samples split
+// into lane groups of 64 and 36.  m = 1 keeps the worst-pair witness live;
+// it is reported in input IDs.  The grid's spanner is the grid itself, so
+// its witness stays at the sentinel.
 TEST(VerifyParallel, ReportsPinnedBitForBitOnGeometricAndEr) {
   const auto report = [](bool bound_ok, std::uint64_t pairs,
                          std::uint64_t max_mult, std::uint64_t mean_mult,
@@ -124,22 +128,49 @@ TEST(VerifyParallel, ReportsPinnedBitForBitOnGeometricAndEr) {
     r.worst_dh = dh;
     return r;
   };
+  constexpr graph::Vertex kNone = graph::kInvalidVertex;
   struct Pinned {
     const char* family;
-    verify::StretchReport exact;    // m = 1, a = 4
-    verify::StretchReport sampled;  // m = 1, a = 2, 40 sources, seed 9
+    verify::StretchReport exact;       // m = 1, a = 4
+    verify::StretchReport sampled;     // m = 1, a = 2, 40 sources, seed 9
+    verify::StretchReport sampled100;  // m = 1, a = 2, 100 sources, seed 9
   };
   const Pinned cases[] = {
       {"geometric",
        report(false, 359400, 0x4037000000000000, 0x4000c747bb223a16, 22,
               0x4036000000000000, 50, 254, 1, 23),
        report(false, 23960, 0x4033000000000000, 0x40008a7e3a57d586, 22,
-              0x4036000000000000, 456, 87, 3, 25)},
+              0x4036000000000000, 456, 87, 3, 25),
+       report(false, 59900, 0x4036000000000000, 0x4000f1beff47057b, 22,
+              0x4036000000000000, 359, 87, 3, 25)},
       {"er",
        report(false, 358202, 0x4024000000000000, 0x3fff893551aeedd9, 9,
               0x4022000000000000, 176, 377, 1, 10),
        report(false, 23920, 0x4022000000000000, 0x3ffeec9719953761, 8,
-              0x4020000000000000, 30, 120, 1, 9)},
+              0x4020000000000000, 30, 120, 1, 9),
+       report(false, 59800, 0x4024000000000000, 0x3fff7df6579ae6c7, 9,
+              0x4022000000000000, 338, 427, 1, 10)},
+      {"caveman",
+       report(false, 359400, 0x4033000000000000, 0x3ff24b40c5de6b4b, 18,
+              0x4032000000000000, 304, 308, 1, 19),
+       report(false, 23960, 0x4021000000000000, 0x3ff1f951a55e5515, 15,
+              0x402e000000000000, 312, 308, 2, 17),
+       report(false, 59900, 0x4033000000000000, 0x3ff2148da6b064a8, 18,
+              0x4032000000000000, 307, 308, 1, 19)},
+      {"ba",
+       report(false, 359400, 0x4020000000000000, 0x3ff7deaaf8db8e7e, 7,
+              0x401c000000000000, 139, 408, 1, 8),
+       report(false, 23960, 0x401c000000000000, 0x3ff81832bd09cba4, 6,
+              0x4018000000000000, 79, 517, 1, 7),
+       report(false, 59900, 0x4020000000000000, 0x3ff81052d7428c96, 7,
+              0x401c000000000000, 139, 408, 1, 8)},
+      {"grid",
+       report(true, 331200, 0x3ff0000000000000, 0x3ff0000000000000, 0, 0,
+              kNone, kNone, 0, 0),
+       report(true, 23000, 0x3ff0000000000000, 0x3ff0000000000000, 0, 0,
+              kNone, kNone, 0, 0),
+       report(true, 57500, 0x3ff0000000000000, 0x3ff0000000000000, 0, 0,
+              kNone, kNone, 0, 0)},
   };
   for (const auto& pinned : cases) {
     const Graph g = graph::make_workload(pinned.family, 600, 7);
@@ -152,6 +183,9 @@ TEST(VerifyParallel, ReportsPinnedBitForBitOnGeometricAndEr) {
       expect_bit_identical(
           verify::verify_stretch_sampled(g, h, 1.0, 2.0, 40, 9, threads),
           pinned.sampled, where + " sampled");
+      expect_bit_identical(
+          verify::verify_stretch_sampled(g, h, 1.0, 2.0, 100, 9, threads),
+          pinned.sampled100, where + " sampled, 100 sources");
     }
   }
 }
