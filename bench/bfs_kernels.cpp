@@ -8,6 +8,8 @@
 // isolated: per (family, n, order, kernel) it runs the same source set on
 // one reused BfsScratch and reports the kernel's own work counters
 // (edges_inspected, top-down/bottom-up level split) next to wall-clock.
+// `wall_ms` sums the kernel calls alone (each run, or each multi-source
+// pass); the identity checks and the line count below run off the clock.
 //
 //   ./bfs_kernels [--family er,er_dense,ba,grid] [--n 4000,16000] [--seed 1]
 //       [--sources 16] [--json BENCH_bfs.json]
@@ -261,11 +263,12 @@ int main(int argc, char** argv) {
           KernelRow row = new_row(graph::bfs_kernel_name(kernel), "full");
           graph::BfsScratch scratch;
           std::vector<std::uint32_t> dist(g.num_vertices());
-          util::Timer timer;
           for (std::size_t i = 0; i < sources.size(); ++i) {
             graph::BfsKernelStats stats;
-            graph::bfs_kernel_into(csr, id(sources[i]), dist, scratch, kernel,
-                                   &stats);
+            const util::Timer timer;
+            scratch.run(csr, id(sources[i]), kernel, &stats);
+            row.wall_ms += timer.millis();
+            scratch.copy_distances(dist);
             add_stats(row.stats, stats);
             if (stats.bottom_up_levels == 0) {
               row.lines_touched +=
@@ -282,7 +285,6 @@ int main(int argc, char** argv) {
               auto_pass.push_back(stats.edges_inspected);
             }
           }
-          row.wall_ms = timer.millis();
           if (kernel == graph::BfsKernel::kTopDown) {
             topdown_edges = row.stats.edges_inspected;
             if (!bfs_order) {
@@ -306,7 +308,6 @@ int main(int argc, char** argv) {
         // The stopped runs, with targets taken from the source list.
         KernelRow stopped = new_row("auto", "targets");
         graph::BfsScratch scratch;
-        util::Timer stopped_timer;
         for (std::size_t i = 0; i < sources.size(); ++i) {
           const std::vector<graph::Vertex> targets{
               sources[(i + 1) % sources.size()],
@@ -314,8 +315,10 @@ int main(int argc, char** argv) {
           const std::vector<graph::Vertex> renamed{id(targets[0]),
                                                    id(targets[1])};
           graph::BfsKernelStats stats;
+          const util::Timer timer;
           scratch.run(csr, id(sources[i]), renamed, graph::BfsKernel::kAuto,
                       &stats);
+          stopped.wall_ms += timer.millis();
           if (stats.bottom_up_levels == 0) {
             stopped.lines_touched +=
                 line_counter.count(csr, scratch, stats.top_down_levels);
@@ -329,7 +332,6 @@ int main(int argc, char** argv) {
               targeted_work_ok && stats.edges_inspected <= auto_pass[i];
           add_stats(stopped.stats, stats);
         }
-        stopped.wall_ms = stopped_timer.millis();
         all_identical = all_identical && stopped.identical;
         rows.push_back(stopped);
 
@@ -347,7 +349,6 @@ int main(int argc, char** argv) {
         graph::MultiSourceBfs pass;
         std::vector<std::uint16_t> lane_rows;
         std::vector<graph::Vertex> group;
-        util::Timer lanes_timer;
         for (std::size_t first = 0; first < sources.size(); first += kLanes) {
           const std::size_t last = std::min(first + kLanes, sources.size());
           group.clear();
@@ -356,7 +357,9 @@ int main(int argc, char** argv) {
           }
           lane_rows.resize(group.size() * g.num_vertices());
           graph::BfsKernelStats stats;
+          const util::Timer timer;
           pass.run(csr, group, lane_rows, &stats);
+          lanes.wall_ms += timer.millis();
           add_stats(lanes.stats, stats);
           for (std::size_t k = first; k < last; ++k) {
             const std::size_t i = by_id[k];
@@ -370,7 +373,6 @@ int main(int argc, char** argv) {
             }
           }
         }
-        lanes.wall_ms = lanes_timer.millis();
         msbfs_work_ok =
             msbfs_work_ok && lanes.stats.edges_inspected <= topdown_edges;
         all_identical = all_identical && lanes.identical;

@@ -24,16 +24,20 @@
 // specs differing only in verify_threads (the graph is built once through
 // the GraphCache), executed sequentially so the wall-clock per row is
 // honest; speedup and bit-identity are derived from the rows afterwards.
+#include <cstddef>
 #include <cstdint>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "graph/csr.hpp"
+#include "graph/multi_source_bfs.hpp"
 #include "run/runner.hpp"
 #include "run/sinks.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
+#include "verify/stretch.hpp"
 
 using namespace nas;
 
@@ -82,13 +86,19 @@ int main(int argc, char** argv) {
             << " mode=" << base.verify_mode << " (" << num_sources
             << " BFS sources)\n\n";
 
-  // Resolve each requested count the way the verifier itself will (0 = all
-  // cores, clamped to the source count), so the table, efficiency column,
-  // and JSON rows record the worker count actually used.
+  // Resolve each requested count the way the verifier itself will: 0 = all
+  // cores, clamped to its work units, which are the lane groups where G is
+  // searched 64 sources per pass and the sources elsewhere.  So the table,
+  // efficiency column, and JSON rows record the worker count actually used.
+  constexpr std::size_t kLanes = graph::MultiSourceBfs::kMaxLanes;
+  const std::size_t work_units =
+      verify::lanes_pay(graph::Csr::from_graph(*g))
+          ? (num_sources + kLanes - 1) / kLanes
+          : num_sources;
   std::vector<run::ScenarioSpec> specs;
   for (const unsigned threads : thread_list) {
     auto spec = base;
-    spec.verify_threads = util::ThreadPool::resolve(threads, num_sources);
+    spec.verify_threads = util::ThreadPool::resolve(threads, work_units);
     specs.push_back(spec);
   }
 

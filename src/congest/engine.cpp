@@ -2,64 +2,45 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <string>
 
 namespace nas::congest {
 
 using graph::Graph;
 using graph::Vertex;
 
-DirectedEdgeIndex::DirectedEdgeIndex(const Graph& g) {
-  const Vertex n = g.num_vertices();
-  offsets_.resize(n + 1, 0);
-  for (Vertex v = 0; v < n; ++v) {
-    offsets_[v + 1] = offsets_[v] + g.degree(v);
-  }
-}
-
-std::size_t DirectedEdgeIndex::slot(const Graph& g, Vertex from, Vertex to,
-                                    const char* who) const {
-  const auto nb = g.neighbors(from);
-  const auto it = std::lower_bound(nb.begin(), nb.end(), to);
-  if (it == nb.end() || *it != to) {
-    throw std::invalid_argument(std::string(who) + ": send to non-neighbor");
-  }
-  return offsets_[from] + static_cast<std::size_t>(it - nb.begin());
-}
-
-/// The synchronous engine's concrete mailbox: validates the bandwidth
-/// constraint and stages messages for next-round delivery.
-class Engine::RoundMailbox final : public congest::Mailbox {
- public:
-  RoundMailbox(Engine& engine) : engine_(engine) {}
-
-  void send(Vertex to, Message m) override {
-    Engine& e = engine_;
-    const std::size_t slot = e.dir_index_.slot(*e.g_, from_, to, "Engine");
-    if (e.edge_used_round_[slot] == e.current_round_) {
-      throw std::logic_error(
-          "CONGEST violation: two messages on one edge-direction in one round");
-    }
-    e.edge_used_round_[slot] = e.current_round_;
-    m.src = from_;
-    e.next_inbox_[to].push_back(m);
-    ++e.messages_sent_;
-    ++e.pending_count_;
-    if (e.ledger_ != nullptr) e.ledger_->charge_messages(1);
-  }
-
-  Vertex from_ = graph::kInvalidVertex;
-
- private:
-  Engine& engine_;
-};
-
-Engine::Engine(const Graph& g, Ledger* ledger)
-    : g_(&g), ledger_(ledger), dir_index_(g) {
+Engine::Engine(const Graph& g, Ledger* ledger) : g_(&g), ledger_(ledger) {
   const Vertex n = g.num_vertices();
   inbox_.resize(n);
   next_inbox_.resize(n);
-  edge_used_round_.assign(dir_index_.size(), static_cast<std::uint64_t>(-1));
+  edge_offsets_.assign(n + 1, 0);
+  for (Vertex v = 0; v < n; ++v) {
+    edge_offsets_[v + 1] = edge_offsets_[v] + g.degree(v);
+  }
+  edge_used_round_.assign(edge_offsets_.back(), static_cast<std::uint64_t>(-1));
+}
+
+std::size_t Engine::edge_slot(Vertex from, Vertex to) const {
+  const auto nb = g_->neighbors(from);
+  const auto it = std::lower_bound(nb.begin(), nb.end(), to);
+  if (it == nb.end() || *it != to) {
+    throw std::invalid_argument("Engine: send to non-neighbor");
+  }
+  return edge_offsets_[from] + static_cast<std::size_t>(it - nb.begin());
+}
+
+void Engine::Mailbox::send(Vertex to, Message m) {
+  Engine& e = engine_;
+  const std::size_t slot = e.edge_slot(from_, to);
+  if (e.edge_used_round_[slot] == e.current_round_) {
+    throw std::logic_error(
+        "CONGEST violation: two messages on one edge-direction in one round");
+  }
+  e.edge_used_round_[slot] = e.current_round_;
+  m.src = from_;
+  e.next_inbox_[to].push_back(m);
+  ++e.messages_sent_;
+  ++e.pending_count_;
+  if (e.ledger_ != nullptr) e.ledger_->charge_messages(1);
 }
 
 void Engine::begin_run() {
@@ -72,7 +53,7 @@ void Engine::begin_run() {
 
 void Engine::do_round(std::uint64_t round, const NodeProgram& program) {
   current_round_ = round;
-  RoundMailbox mbox(*this);
+  Mailbox mbox(*this);
   try {
     for (Vertex v = 0; v < g_->num_vertices(); ++v) {
       // Deterministic delivery order: by sender ID.

@@ -17,10 +17,6 @@
 //
 // Messages sent in a run's last round are delivered in round 0 of the next
 // run on the same engine.  A run that throws leaves nothing in flight.
-//
-// `Mailbox` is an abstract sending surface so the same NodeProgram can also
-// run under synchronizer α over the asynchronous engine (congest/async.hpp),
-// which must produce bit-identical program state.
 #pragma once
 
 #include <cstdint>
@@ -41,43 +37,23 @@ struct Message {
   std::uint64_t c = 0;
 };
 
-/// Abstract per-round sending surface handed to node programs.
-class Mailbox {
- public:
-  /// Sends `m` to neighbor `to` this round.  Implementations throw
-  /// std::logic_error on a second send over the same edge in one round
-  /// (CONGEST violation) and std::invalid_argument for non-neighbors.
-  virtual void send(graph::Vertex to, Message m) = 0;
-
- protected:
-  ~Mailbox() = default;
-};
-
-/// Shared CSR indexing of directed edges for the execution engines: the
-/// slot of (from, to) is offsets[from] + the rank of `to` in from's sorted
-/// neighbor list, giving each engine a dense per-edge-direction array for
-/// its bandwidth guard / FIFO bookkeeping.
-class DirectedEdgeIndex {
- public:
-  DirectedEdgeIndex() = default;
-  explicit DirectedEdgeIndex(const graph::Graph& g);
-
-  /// Throws std::invalid_argument (prefixed with `who`) for non-neighbors.
-  [[nodiscard]] std::size_t slot(const graph::Graph& g, graph::Vertex from,
-                                 graph::Vertex to, const char* who) const;
-
-  /// Total number of directed-edge slots (2|E|).
-  [[nodiscard]] std::size_t size() const {
-    return offsets_.empty() ? 0 : offsets_.back();
-  }
-
- private:
-  std::vector<std::size_t> offsets_;  // size n+1
-};
-
 class Engine {
  public:
-  using Mailbox = congest::Mailbox;
+  /// Per-round sending surface handed to node programs.
+  class Mailbox {
+   public:
+    /// Sends `m` to neighbor `to` this round.  Throws std::logic_error on a
+    /// second send over the same edge direction in one round (CONGEST
+    /// violation) and std::invalid_argument for non-neighbors.
+    void send(graph::Vertex to, Message m);
+
+   private:
+    friend class Engine;
+    explicit Mailbox(Engine& engine) : engine_(engine) {}
+
+    Engine& engine_;
+    graph::Vertex from_ = graph::kInvalidVertex;  // the vertex now running
+  };
 
   /// Node program: called once per vertex per round with the messages that
   /// arrived this round.  `round` is 0-based.
@@ -100,7 +76,10 @@ class Engine {
   [[nodiscard]] std::uint64_t messages_sent() const { return messages_sent_; }
 
  private:
-  class RoundMailbox;
+  /// The slot of directed edge (from, to) in edge_used_round_: from's
+  /// offset plus the rank of `to` in from's sorted neighbor list.  Throws
+  /// std::invalid_argument for non-neighbors.
+  std::size_t edge_slot(graph::Vertex from, graph::Vertex to) const;
 
   void begin_run();  // per-run reset of the bandwidth guard
   void do_round(std::uint64_t round, const NodeProgram& program);
@@ -113,7 +92,7 @@ class Engine {
   std::vector<std::vector<Message>> next_inbox_;
   // Per-round used-edge guard: (sender, receiver) pairs already used.
   std::vector<std::uint64_t> edge_used_round_;  // per directed-edge slot
-  DirectedEdgeIndex dir_index_;
+  std::vector<std::size_t> edge_offsets_;  // size n+1: degree prefix sums
   std::uint64_t current_round_ = 0;
   std::uint64_t messages_sent_ = 0;
   std::size_t pending_count_ = 0;

@@ -161,7 +161,7 @@ Algorithm1Result run_algorithm1_exact(const Graph& g,
 
   const auto program = [&](Vertex v, std::uint64_t round,
                            std::span<const congest::Message> inbox,
-                           congest::Mailbox& mbox) {
+                           congest::Engine::Mailbox& mbox) {
     for (const auto& m : inbox) {
       buffer[v].emplace_back(static_cast<Vertex>(m.a), m.src,
                              static_cast<std::uint32_t>(m.b) + 1);

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "graph/bfs_kernel.hpp"
-#include "graph/components.hpp"
-
 namespace nas::graph {
 
 namespace {
@@ -63,30 +60,6 @@ BfsResult multi_source_bfs_bounded(const Graph& g,
                                    const std::vector<Vertex>& sources,
                                    std::uint32_t depth) {
   return bfs_impl(g, sources, depth);
-}
-
-std::uint32_t eccentricity(const Graph& g, Vertex v) {
-  BfsScratch scratch;
-  scratch.run(Csr::from_graph(g), v, BfsKernel::kTopDown);
-  return scratch.max_reached_distance();
-}
-
-std::uint32_t diameter_largest_component(const Graph& g) {
-  const auto comp = connected_components(g);
-  // One CSR build and one scratch for the whole sweep: the previous version
-  // allocated a full 3-vector BfsResult per source, turning the O(n·m)
-  // traversal into an O(n·m) allocation storm on top.  The epoch-marked
-  // scratch resets in O(component) per source instead.
-  const Csr csr = Csr::from_graph(g);
-  BfsScratch scratch;
-  std::uint32_t diam = 0;
-  for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    if (comp.component[v] == comp.largest) {
-      scratch.run(csr, v, BfsKernel::kAuto);
-      diam = std::max(diam, scratch.max_reached_distance());
-    }
-  }
-  return diam;
 }
 
 }  // namespace nas::graph

@@ -39,13 +39,4 @@ struct BfsResult {
 [[nodiscard]] BfsResult multi_source_bfs_bounded(
     const Graph& g, const std::vector<Vertex>& sources, std::uint32_t depth);
 
-/// Eccentricity of `v` within its connected component.
-[[nodiscard]] std::uint32_t eccentricity(const Graph& g, Vertex v);
-
-/// Exact diameter (max eccentricity) of the graph restricted to its largest
-/// connected component.  O(n·m) traversal — intended for test/bench scale
-/// graphs — over a single reused BfsScratch, so it performs O(1)
-/// allocations total rather than O(n) BfsResult allocations.
-[[nodiscard]] std::uint32_t diameter_largest_component(const Graph& g);
-
 }  // namespace nas::graph

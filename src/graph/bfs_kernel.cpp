@@ -303,13 +303,6 @@ void BfsScratch::copy_distances(std::span<std::uint32_t> out) const {
   for (const Vertex v : reached()) out[v] = cells_[v].dist;
 }
 
-std::uint32_t BfsScratch::max_reached_distance() const {
-  require_complete("max_reached_distance");
-  std::uint32_t ecc = 0;
-  for (const Vertex v : reached()) ecc = std::max(ecc, cells_[v].dist);
-  return ecc;
-}
-
 void bfs_kernel_into(const Csr& g, Vertex source, std::span<std::uint32_t> dist,
                      BfsScratch& scratch, BfsKernel kernel,
                      BfsKernelStats* stats) {

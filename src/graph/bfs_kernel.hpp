@@ -58,7 +58,7 @@
 // reaches the last target.  The stop is tested between levels only, so the
 // per-level loops are the full run's.  A truncated search can never become
 // a cached row: after a run that stopped before its frontier emptied,
-// copy_distances() and max_reached_distance() throw std::logic_error.
+// copy_distances() throws std::logic_error.
 #pragma once
 
 #include <cstdint>
@@ -132,16 +132,11 @@ class BfsScratch {
   void copy_distances(std::span<std::uint32_t> out) const;
 
   /// Every vertex reached by the last run, in discovery order (the source
-  /// first).  Iterating this instead of [0, n) keeps per-component loops —
-  /// eccentricity, component sweeps — O(active).
+  /// first).  Iterating this instead of [0, n) keeps per-component loops
+  /// O(active).
   [[nodiscard]] std::span<const Vertex> reached() const {
     return {frontier_.data(), reached_};
   }
-
-  /// Max finite distance of the last run (the source's eccentricity within
-  /// its component).  O(reached).  Throws std::logic_error after a
-  /// truncated run, like copy_distances().
-  [[nodiscard]] std::uint32_t max_reached_distance() const;
 
   /// Vertex count the scratch is currently sized for.
   [[nodiscard]] Vertex num_vertices() const { return n_; }

@@ -77,16 +77,6 @@ SourceAccum accumulate_source(const graph::RelabelledCsr& h, Vertex s,
   return acc;
 }
 
-/// Whether G is searched in multi-source passes: where the density rule
-/// sends `auto` to hybrid, a shared scan of a vertex's edges serves enough
-/// lanes to pay for itself (on grids and trees it does not), and the
-/// 16-bit rows must hold G's distances.
-bool lanes_pay(const graph::Csr& g) {
-  return g.num_vertices() <= graph::MultiSourceBfs::kMaxVertices &&
-         graph::resolve_bfs_kernel(graph::BfsKernel::kAuto, g) ==
-             graph::BfsKernel::kHybrid;
-}
-
 /// Shared driver behind the exact and sampled entry points: per-source
 /// partials (sharded across a worker pool when threads != 1), then a
 /// deterministic merge in source order with first-wins tie-breaking on the
@@ -193,6 +183,12 @@ StretchReport verify_over_sources(const Graph& g, const Graph& h,
 }
 
 }  // namespace
+
+bool lanes_pay(const graph::Csr& g) {
+  return g.num_vertices() <= graph::MultiSourceBfs::kMaxVertices &&
+         graph::resolve_bfs_kernel(graph::BfsKernel::kAuto, g) ==
+             graph::BfsKernel::kHybrid;
+}
 
 bool bit_identical(const StretchReport& a, const StretchReport& b) {
   const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };

@@ -27,6 +27,7 @@
 
 #include <cstdint>
 
+#include "graph/csr.hpp"
 #include "graph/graph.hpp"
 
 namespace nas::verify {
@@ -62,6 +63,16 @@ struct StretchReport {
 /// StretchReport's fields.
 [[nodiscard]] bool bit_identical(const StretchReport& a,
                                  const StretchReport& b);
+
+/// Whether the verifiers search `g` (G) in multi-source passes, one per
+/// group of graph::MultiSourceBfs::kMaxLanes sources, rather than one BFS
+/// per source; the groups are then the units the worker pool shards.  True
+/// where the density rule sends `auto` to hybrid, so a shared scan of a
+/// vertex's edges serves enough lanes to pay for itself (on grids and trees
+/// it does not), and n <= MultiSourceBfs::kMaxVertices, so the 16-bit rows
+/// hold G's distances.  Depends on g's vertex and edge counts only, not on
+/// its labelling.
+[[nodiscard]] bool lanes_pay(const graph::Csr& g);
 
 /// Exhaustive check over all connected pairs.  Throws std::invalid_argument
 /// if the graphs have different vertex counts.  `threads` shards the BFS

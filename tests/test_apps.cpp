@@ -1,11 +1,10 @@
-// Tests for the application layer (distance oracle, synchronizer analysis)
-// and the ACIM99 purely-additive +2 baseline.
+// Tests for the application layer (the distance oracle) and the ACIM99
+// purely-additive +2 baseline.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "apps/distance_oracle.hpp"
-#include "apps/synchronizer.hpp"
 #include "baselines/additive2.hpp"
 #include "core/elkin_matar.hpp"
 #include "graph/apsp.hpp"
@@ -63,42 +62,6 @@ TEST(DistanceOracle, DisconnectedPairsReportInf) {
   const apps::SpannerDistanceOracle oracle(g, params);
   EXPECT_EQ(oracle.query(0, 2), graph::kInfDist);
   EXPECT_EQ(oracle.query(0, 1), 1u);
-}
-
-TEST(Synchronizer, IdentityOverlayHasUnitLatency) {
-  const Graph g = graph::make_workload("er", 150, 7);
-  const auto rep = apps::analyze_synchronizer(g, g);
-  EXPECT_EQ(rep.pulse_latency, 1u);
-  EXPECT_DOUBLE_EQ(rep.mean_edge_stretch, 1.0);
-  EXPECT_DOUBLE_EQ(rep.message_saving(), 1.0);
-  EXPECT_TRUE(rep.overlay_connects);
-}
-
-TEST(Synchronizer, SpannerOverlayTradesMessagesForLatency) {
-  const Graph g = graph::make_workload("er_dense", 400, 9);
-  const auto params = Params::practical(g.num_vertices(), 0.25, 3, 0.4);
-  const auto result = core::build_spanner(g, params, {.validate = false});
-  const auto rep = apps::analyze_synchronizer(g, result.spanner);
-  EXPECT_TRUE(rep.overlay_connects);
-  EXPECT_LT(rep.message_saving(), 1.0);           // fewer messages per pulse
-  EXPECT_GE(rep.pulse_latency, 1u);               // some latency cost
-  // Edge latency is bounded by the spanner guarantee on distance-1 pairs.
-  EXPECT_LE(rep.pulse_latency, params.stretch_multiplicative() * 1.0 +
-                                   params.stretch_additive());
-  EXPECT_EQ(rep.messages_per_pulse, 2 * result.spanner.num_edges());
-}
-
-TEST(Synchronizer, DetectsBrokenOverlay) {
-  const Graph g = graph::cycle(6);
-  const Graph broken = Graph::from_edges(6, {{0, 1}, {3, 4}});
-  const auto rep = apps::analyze_synchronizer(g, broken);
-  EXPECT_FALSE(rep.overlay_connects);
-}
-
-TEST(Synchronizer, SizeMismatchThrows) {
-  EXPECT_THROW(
-      (void)apps::analyze_synchronizer(graph::path(4), graph::path(5)),
-      std::invalid_argument);
 }
 
 // --- ACIM99 +2 additive spanner ---------------------------------------------

@@ -64,13 +64,6 @@ TEST(Bfs, HypercubeDistanceIsHamming) {
   EXPECT_EQ(res.dist[0b11111], 5u);
 }
 
-TEST(Bfs, EccentricityAndDiameter) {
-  const Graph g = path(7);
-  EXPECT_EQ(eccentricity(g, 0), 6u);
-  EXPECT_EQ(eccentricity(g, 3), 3u);
-  EXPECT_EQ(diameter_largest_component(g), 6u);
-}
-
 TEST(Apsp, MatchesRepeatedBfs) {
   const Graph g = make_workload("er", 120, 3);
   const Apsp apsp(g);

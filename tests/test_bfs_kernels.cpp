@@ -147,7 +147,6 @@ TEST(BfsKernel, UnreachableAndAccessors) {
     EXPECT_EQ(scratch.distance(2), 2u);
     EXPECT_EQ(scratch.distance(3), kInfDist);
     EXPECT_EQ(scratch.distance(4), kInfDist);
-    EXPECT_EQ(scratch.max_reached_distance(), 2u);
     ASSERT_EQ(scratch.reached().size(), 3u);
     EXPECT_EQ(scratch.reached().front(), 0u);  // source is discovered first
     std::vector<std::uint32_t> dist(6);
@@ -166,7 +165,7 @@ TEST(BfsKernel, SourceOutOfRangeThrows) {
 }
 
 // A truncated run can never become a cached row: after a run stopped before
-// its frontier emptied, the full-array readers throw.
+// its frontier emptied, copy_distances() throws.
 // A stopped run whose target lies outside the component exhausts the
 // component and stays readable, and the next full run is readable again.
 TEST(BfsKernel, TruncatedSearchesRefuseFullArrays) {
@@ -180,20 +179,17 @@ TEST(BfsKernel, TruncatedSearchesRefuseFullArrays) {
   EXPECT_EQ(scratch.distance(1), 1u);
   EXPECT_EQ(scratch.distance(3), kInfDist);  // beyond the stopping level
   EXPECT_THROW(scratch.copy_distances(dist), std::logic_error);
-  EXPECT_THROW((void)scratch.max_reached_distance(), std::logic_error);
 
   const std::vector<Vertex> unreachable{5};
   scratch.run(csr, 0, unreachable);
   EXPECT_EQ(scratch.distance(5), kInfDist);
   scratch.copy_distances(dist);
   EXPECT_EQ(dist, reference_dist(g, 0));
-  EXPECT_EQ(scratch.max_reached_distance(), 3u);
 
   scratch.run(csr, 0, near);
   scratch.run(csr, 4);
   scratch.copy_distances(dist);
   EXPECT_EQ(dist, reference_dist(g, 4));
-  EXPECT_EQ(scratch.max_reached_distance(), 1u);
 }
 
 // The work a stopped run saves: on a path, a run stopped at a near target

@@ -2,12 +2,18 @@
 // enforcement, and the standard protocols.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "congest/engine.hpp"
 #include "congest/ledger.hpp"
 #include "congest/protocols.hpp"
+#include "graph/apsp.hpp"
 #include "graph/bfs.hpp"
+#include "graph/components.hpp"
 #include "graph/generators.hpp"
 
 namespace {
@@ -190,6 +196,99 @@ TEST(Engine, FailedRunLeavesNothingInFlight) {
                    }),
                std::logic_error);
 }
+
+// --- whole families ---------------------------------------------------------
+
+/// The engine's end state and message count on whole graphs, checked against
+/// the centralized answers.  The runs last the largest finite distance plus
+/// two rounds, by which the BFS and the min-ID flood have settled.
+class EngineFamilies : public ::testing::TestWithParam<std::string> {
+ protected:
+  const Graph g_ = graph::make_workload(GetParam(), 120, 5);
+  const std::uint64_t rounds_ =
+      std::uint64_t{graph::Apsp(g_).max_finite_distance()} + 2;
+};
+
+TEST_P(EngineFamilies, BfsEndsAtCentralizedDistances) {
+  // A vertex learns its distance d from the first message it receives, in
+  // round d, and sends on every incident edge in that round only.
+  std::vector<std::uint32_t> dist(g_.num_vertices(), graph::kInfDist);
+  dist[0] = 0;
+  Engine engine(g_);
+  engine.run_rounds(rounds_, [&](Vertex v, std::uint64_t round,
+                                 std::span<const Message> inbox,
+                                 Engine::Mailbox& mbox) {
+    for (const auto& m : inbox) {
+      if (dist[v] == graph::kInfDist) {
+        dist[v] = static_cast<std::uint32_t>(m.b) + 1;
+      }
+    }
+    if (dist[v] == round) {
+      for (Vertex u : g_.neighbors(v)) mbox.send(u, {.b = dist[v]});
+    }
+  });
+  const auto expected = graph::bfs(g_, 0);
+  EXPECT_EQ(dist, expected.dist);
+  std::uint64_t reached_degrees = 0;
+  for (Vertex v = 0; v < g_.num_vertices(); ++v) {
+    if (expected.dist[v] != graph::kInfDist) reached_degrees += g_.degree(v);
+  }
+  EXPECT_EQ(engine.messages_sent(), reached_degrees);
+}
+
+TEST_P(EngineFamilies, MinIdFloodEndsAtComponentMinimum) {
+  // Every vertex re-announces its best ID whenever it improves.
+  std::vector<Vertex> best(g_.num_vertices());
+  for (Vertex v = 0; v < g_.num_vertices(); ++v) best[v] = v;
+  Engine engine(g_);
+  engine.run_rounds(rounds_, [&](Vertex v, std::uint64_t round,
+                                 std::span<const Message> inbox,
+                                 Engine::Mailbox& mbox) {
+    bool improved = round == 0;
+    for (const auto& m : inbox) {
+      if (m.a < best[v]) {
+        best[v] = static_cast<Vertex>(m.a);
+        improved = true;
+      }
+    }
+    if (improved) {
+      for (Vertex u : g_.neighbors(v)) mbox.send(u, {.a = best[v]});
+    }
+  });
+  const auto comp = graph::connected_components(g_);
+  std::vector<Vertex> smallest(comp.count, graph::kInvalidVertex);
+  for (Vertex v = 0; v < g_.num_vertices(); ++v) {
+    smallest[comp.component[v]] = std::min(smallest[comp.component[v]], v);
+  }
+  for (Vertex v = 0; v < g_.num_vertices(); ++v) {
+    EXPECT_EQ(best[v], smallest[comp.component[v]]) << "vertex " << v;
+  }
+}
+
+TEST_P(EngineFamilies, SendingOnEveryEdgeEveryRound) {
+  // From round 1 on, each inbox holds one message per neighbor, in
+  // ascending sender order, each sent in the round before.
+  Engine engine(g_);
+  std::uint64_t bad_inboxes = 0;
+  engine.run_rounds(rounds_, [&](Vertex v, std::uint64_t round,
+                                 std::span<const Message> inbox,
+                                 Engine::Mailbox& mbox) {
+    const auto nb = g_.neighbors(v);
+    bool ok = inbox.size() == (round == 0 ? 0 : nb.size());
+    for (std::size_t i = 0; ok && i < inbox.size(); ++i) {
+      ok = inbox[i].src == nb[i] && inbox[i].a == round - 1;
+    }
+    if (!ok) ++bad_inboxes;
+    for (Vertex u : nb) mbox.send(u, {.a = round});
+  });
+  EXPECT_EQ(bad_inboxes, 0u);
+  EXPECT_EQ(engine.messages_sent(), rounds_ * 2 * g_.num_edges());
+}
+
+INSTANTIATE_TEST_SUITE_P(Families, EngineFamilies,
+                         ::testing::Values("er", "grid", "tree", "cycle",
+                                           "dumbbell", "hypercube"),
+                         [](const auto& param_info) { return param_info.param; });
 
 // --- protocols --------------------------------------------------------------
 

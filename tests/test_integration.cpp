@@ -44,7 +44,7 @@ TEST(Integration, NearAdditiveBeatsMultiplicativeOnLongDistances) {
   const double em_additive = static_cast<double>(rep.max_additive);
   // The multiplicative guarantee allows error (2k-2)*d, which at the torus
   // diameter is far beyond em's measured additive error.
-  const double diam = graph::diameter_largest_component(g);
+  const double diam = graph::Apsp(g).max_finite_distance();
   EXPECT_LT(em_additive, (2 * 3 - 2) * diam);
 }
 
