@@ -277,7 +277,6 @@ std::vector<std::uint32_t> SpannerDistanceOracle::batch_query(
     stats->edges_inspected = 0;
     for (const auto e : edges) stats->edges_inspected += e;
     stats->row_bytes = rows_built * n * sizeof(std::uint32_t);
-    stats->shards = slots;
   }
   return answers;
 }

@@ -68,7 +68,7 @@
 //     (last_used, source) index.
 //   * `save`/`load` snapshot the oracle (spanner + Params + guarantee) so
 //     serving processes can load a prebuilt structure instead of re-running
-//     the CONGEST construction (tools/nas_oracle drives this).  Two formats
+//     the CONGEST construction (tools/nas_oracle writes them).  Two formats
 //     exist — v1 text and v2 binary (apps/snapshot.hpp); answers are
 //     byte-identical regardless of which one an oracle was loaded from.
 //
@@ -124,10 +124,6 @@ struct BatchStats {
   /// Edges the searches inspected (graph::BfsKernelStats, summed).
   std::uint64_t edges_inspected = 0;
   std::uint64_t row_bytes = 0;  ///< rows built for the cache, 4·n bytes each
-  /// Worker shards the BFS phase actually ran on: the requested thread
-  /// count resolved against the uncached-source count (so it can be lower
-  /// than requested on cache-hot or highly skewed batches).
-  std::uint64_t shards = 0;
 };
 
 class SpannerDistanceOracle {

@@ -46,8 +46,8 @@ struct WorkloadSpec {
                                                      const WorkloadSpec& spec);
 
 /// Reads "u v" request lines ('#' comments, blank lines allowed), with the
-/// graph::read_edge_list line-numbered error contract.  Shared by the
-/// serving CLIs (nas_oracle, nas_serve) so both accept the same files.
+/// graph::read_edge_list line-numbered error contract.  Shared by
+/// nas_serve and bench/serve_latency so both accept the same files.
 [[nodiscard]] std::vector<Query> read_query_file(const std::string& path);
 
 /// Writes one "u v d" line per request in request order ("inf" for

@@ -56,11 +56,7 @@ void Engine::do_round(std::uint64_t round, const NodeProgram& program) {
   Mailbox mbox(*this);
   try {
     for (Vertex v = 0; v < g_->num_vertices(); ++v) {
-      // Deterministic delivery order: by sender ID.
-      auto& in = inbox_[v];
-      std::sort(in.begin(), in.end(), [](const Message& x, const Message& y) {
-        return x.src < y.src;
-      });
+      const auto& in = inbox_[v];
       mbox.from_ = v;
       program(v, round, std::span<const Message>(in.data(), in.size()), mbox);
     }

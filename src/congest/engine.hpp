@@ -2,8 +2,11 @@
 //
 // Executes an arbitrary node program round by round:
 //   * at the beginning of round r every vertex receives the messages its
-//     neighbors sent during round r-1 (in ascending sender-ID order, so
-//     executions are deterministic),
+//     neighbors sent during round r-1, in ascending sender-ID order, so
+//     executions are deterministic.  Execution order is what guarantees
+//     it: vertices run (and send) in ascending ID, and each sends at most
+//     one message per edge direction per round, so every inbox fills in
+//     sender order and needs no sort,
 //   * during round r every vertex may send at most ONE message per incident
 //     edge per direction; a second send on the same edge in the same round
 //     throws std::logic_error (that is the CONGEST bandwidth constraint),

@@ -6,33 +6,24 @@
 #include <vector>
 
 #include "graph/bfs_kernel.hpp"
-#include "util/thread_pool.hpp"
 
 namespace nas::graph {
 
-Apsp::Apsp(const Graph& g, Vertex max_n, unsigned threads)
-    : n_(g.num_vertices()) {
+Apsp::Apsp(const Graph& g, Vertex max_n) : n_(g.num_vertices()) {
   if (n_ > max_n) {
     throw std::invalid_argument("Apsp: graph too large for the exact oracle");
   }
   dist_.resize(static_cast<std::size_t>(n_) * n_);
-  // Each source owns one disjoint row of the table, so sharding sources
-  // across workers is race-free; each worker runs the direction-optimizing
-  // kernel on one reused BfsScratch, so the whole build allocates
-  // O(threads · n).  The adjacency is flattened to CSR once so all n BFS
-  // passes stream two flat arrays.  Distances are level structure — kernel
-  // choice and traversal order cannot change them — so the table is
-  // identical for every thread count and kernel.
+  // One BFS per source into its own row, on one reused BfsScratch with the
+  // direction-optimizing kernel.  The adjacency is flattened to CSR once so
+  // all n passes stream two flat arrays.
   const Csr csr = Csr::from_graph(g);
-  util::ThreadPool::run_sharded(
-      n_, threads, [&](std::size_t begin, std::size_t end) {
-        BfsScratch scratch;
-        for (std::size_t s = begin; s < end; ++s) {
-          bfs_kernel_into(csr, static_cast<Vertex>(s),
-                          std::span<std::uint32_t>(dist_.data() + s * n_, n_),
-                          scratch, BfsKernel::kAuto);
-        }
-      });
+  BfsScratch scratch;
+  for (Vertex s = 0; s < n_; ++s) {
+    const auto row = std::span<std::uint32_t>(dist_).subspan(
+        static_cast<std::size_t>(s) * n_, n_);
+    bfs_kernel_into(csr, s, row, scratch, BfsKernel::kAuto);
+  }
 }
 
 std::uint32_t Apsp::max_finite_distance() const {

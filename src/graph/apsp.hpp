@@ -1,6 +1,6 @@
-// All-pairs shortest paths by repeated BFS — the exact-distance oracle used
-// by the stretch verifier.  O(n·(n+m)) time, O(n²) space; guarded against
-// accidental use on graphs too large for test/bench scale.
+// All-pairs shortest paths by repeated BFS — exact ground truth for the
+// tests and the approx_shortest_paths example.  O(n·(n+m)) time, O(n²)
+// space; guarded against accidental use on graphs too large for test scale.
 #pragma once
 
 #include <cstdint>
@@ -14,10 +14,7 @@ class Apsp {
  public:
   /// Computes all-pairs distances.  Throws std::invalid_argument if n
   /// exceeds `max_n` (a guard against multi-GB allocations in scripts).
-  /// `threads` shards the BFS sources across a worker pool (0 = hardware
-  /// concurrency); rows are disjoint so the table is identical — BFS
-  /// distances are exact — for every thread count.
-  explicit Apsp(const Graph& g, Vertex max_n = 20000, unsigned threads = 1);
+  explicit Apsp(const Graph& g, Vertex max_n = 20000);
 
   [[nodiscard]] std::uint32_t dist(Vertex u, Vertex v) const {
     return dist_[static_cast<std::size_t>(u) * n_ + v];

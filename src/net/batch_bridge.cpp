@@ -44,9 +44,6 @@ std::vector<BatchResult> BatchBridge::drain_completions() {
 void BatchBridge::shutdown() {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_) {
-      // Second call: the worker is already draining (or gone).
-    }
     stopping_ = true;
   }
   work_ready_.notify_one();

@@ -5,7 +5,7 @@
 //
 //   Q <u> <v>     one distance request; the reply is one "<u> <v> <d>" line
 //                 (d = spanner distance, or "inf" for disconnected pairs) —
-//                 byte-identical to the nas_oracle/nas_serve answer format.
+//                 byte-identical to the nas_serve answer format.
 //   BATCH <n>     exactly n "<u> <v>" body lines follow; the reply is n
 //                 answer lines in request order.  n may be 0 (no reply).
 //   STATS         one JSON object line: cluster configuration + cumulative

@@ -396,7 +396,7 @@ class Server::Impl {
         conn.want_close = true;
       } else if (result.kind == BatchJob::Kind::kStats) {
         util::JsonObject fields = std::move(result.snapshot);
-        append_server_fields(&fields);
+        append_server_fields(s_.totals_, conns_.size(), &fields);
         send_line(conn, util::render_json_object(fields), now);
       } else if (result.kind == BatchJob::Kind::kMetrics) {
         send_line(conn, util::render_json_object(result.snapshot), now);
@@ -521,29 +521,6 @@ class Server::Impl {
     return s_.cluster_.universe();
   }
 
-  /// The loop thread's own counters, appended to a worker-built STATS
-  /// snapshot at completion time.
-  void append_server_fields(util::JsonObject* fields) const {
-    const auto& t = s_.totals_;
-    fields->emplace_back("connections_accepted",
-                         util::JsonValue::number(t.connections_accepted));
-    fields->emplace_back("connections_rejected",
-                         util::JsonValue::number(t.connections_rejected));
-    fields->emplace_back(
-        "connections_open",
-        util::JsonValue::number(static_cast<std::uint64_t>(conns_.size())));
-    fields->emplace_back("served_requests",
-                         util::JsonValue::number(t.requests));
-    fields->emplace_back("served_batches", util::JsonValue::number(t.batches));
-    fields->emplace_back("stats_requests",
-                         util::JsonValue::number(t.stats_requests));
-    fields->emplace_back("metrics_requests",
-                         util::JsonValue::number(t.metrics_requests));
-    fields->emplace_back("protocol_errors",
-                         util::JsonValue::number(t.protocol_errors));
-    fields->emplace_back("idle_closed", util::JsonValue::number(t.idle_closed));
-  }
-
   Server& s_;
   EventLoop loop_;
   BatchBridge bridge_;
@@ -577,6 +554,25 @@ void Server::run() {
 void Server::request_stop() {
   stop_requests_.fetch_add(1, std::memory_order_release);
   signal_wakeup(wakeup_.write_end.get());
+}
+
+void append_server_fields(const ServerTotals& totals,
+                          std::uint64_t connections_open,
+                          util::JsonObject* fields) {
+  const auto number = [](std::uint64_t v) {
+    return util::JsonValue::number(v);
+  };
+  fields->emplace_back("connections_accepted",
+                       number(totals.connections_accepted));
+  fields->emplace_back("connections_rejected",
+                       number(totals.connections_rejected));
+  fields->emplace_back("connections_open", number(connections_open));
+  fields->emplace_back("served_requests", number(totals.requests));
+  fields->emplace_back("served_batches", number(totals.batches));
+  fields->emplace_back("stats_requests", number(totals.stats_requests));
+  fields->emplace_back("metrics_requests", number(totals.metrics_requests));
+  fields->emplace_back("protocol_errors", number(totals.protocol_errors));
+  fields->emplace_back("idle_closed", number(totals.idle_closed));
 }
 
 }  // namespace nas::net

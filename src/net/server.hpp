@@ -37,6 +37,7 @@
 #include "net/batch_bridge.hpp"
 #include "net/posix_io.hpp"
 #include "serve/cluster.hpp"
+#include "util/json.hpp"
 
 namespace nas::net {
 
@@ -65,6 +66,13 @@ struct ServerTotals {
   std::uint64_t idle_closed = 0;
   serve::ClusterStats cluster;
 };
+
+/// Appends the server's own STATS fields — `totals`' connection and request
+/// counters, plus `connections_open` — in the one order that STATS replies
+/// and nas_served --stats-json both emit.
+void append_server_fields(const ServerTotals& totals,
+                          std::uint64_t connections_open,
+                          util::JsonObject* fields);
 
 class Server {
  public:

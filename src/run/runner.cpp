@@ -99,15 +99,15 @@ ResultRow Runner::run_one(const ScenarioSpec& spec, std::size_t index,
     }
 
     if (spec.workload != "off") {
-      // Serving stage: build the oracle over the produced spanner (identity
-      // rows serve exact distances) and answer one generated batch — through
-      // one oracle, or through a ShardedCluster when the spec asks for one.
-      // A snapshot_format other than "none" inserts a save/reload round-trip
-      // first: the oracle is written to a scratch file in that format, the
-      // serving structure is loaded back (v2: mmapped), and the batch runs
-      // against the loaded copy.  Every recorded field is deterministic at
-      // any query-thread count, cache budget, shard count, and snapshot
-      // format; only the wall-clock fields are not.
+      // Serving stage: shard the produced spanner (identity rows serve exact
+      // distances) across spec.cluster_shards oracles and answer one
+      // generated batch.  A snapshot_format other than "none" inserts a
+      // save/reload round-trip first: the oracle is written to a scratch
+      // file in that format, the cluster is loaded back from it (v2:
+      // mmapped), and the batch runs against the loaded copy.  Every
+      // recorded field is deterministic at any query-thread count, cache
+      // budget, shard count, and snapshot format; only the wall-clock fields
+      // are not.
       util::Timer oracle_timer;
       const apps::WorkloadSpec workload_spec{spec.workload, spec.queries,
                                              spec.workload_seed,
@@ -115,80 +115,32 @@ ResultRow Runner::run_one(const ScenarioSpec& spec, std::size_t index,
       const auto requests =
           apps::make_query_workload(spanner->num_vertices(), workload_spec);
 
-      std::optional<apps::SnapshotFormat> snapshot_format;
-      if (spec.snapshot_format != "none") {
-        snapshot_format = apps::parse_snapshot_format(spec.snapshot_format);
-      }
-      const auto round_trip =
-          [&](const apps::SpannerDistanceOracle& built) -> std::string {
-        const auto path = temp_snapshot_path(
-            *snapshot_format == apps::SnapshotFormat::kV2 ? ".naso2" : ".naso");
-        built.save_file(path, *snapshot_format);
-        row.snapshot_bytes = std::filesystem::file_size(path);
-        return path;
-      };
-
-      if (spec.cluster_shards == 0) {
-        const apps::OracleOptions oracle_options{
-            .cache_budget_bytes = spec.cache_budget};
-        std::optional<apps::SpannerDistanceOracle> oracle;
-        std::optional<ScopedRemove> scratch;
-        if (!snapshot_format.has_value()) {
-          oracle.emplace(*spanner, row.guarantee_mult, row.guarantee_add,
-                         oracle_options);
-        } else {
-          const apps::SpannerDistanceOracle built(*spanner, row.guarantee_mult,
-                                                  row.guarantee_add,
-                                                  oracle_options);
-          scratch.emplace(round_trip(built));
-          util::Timer warmup_timer;
-          oracle.emplace(apps::SpannerDistanceOracle::load_file(
-              scratch->path, oracle_options));
-          row.snapshot_warmup_ms = warmup_timer.millis();
-        }
-        apps::BatchStats stats;
-        const auto answers =
-            oracle->batch_query(requests, spec.query_threads, &stats);
-        row.oracle_queries = stats.queries;
-        row.oracle_shards = stats.shards;
-        row.oracle_sources = stats.distinct_sources;
-        row.oracle_cache_hits = stats.cache_hits;
-        row.oracle_bfs_passes = stats.bfs_passes;
-        row.oracle_evictions = stats.evictions;
-        row.oracle_digest = apps::digest_answers(answers);
+      const serve::ClusterOptions cluster_options{
+          .shards = spec.cluster_shards,
+          .partition = spec.partition,
+          .shard_cache_budget_bytes = spec.cache_budget};
+      std::optional<serve::ShardedCluster> cluster;
+      std::optional<ScopedRemove> scratch;
+      if (spec.snapshot_format == "none") {
+        cluster.emplace(*spanner, row.guarantee_mult, row.guarantee_add,
+                        cluster_options);
       } else {
-        const serve::ClusterOptions cluster_options{
-            .shards = spec.cluster_shards,
-            .partition = spec.partition,
-            .shard_cache_budget_bytes = spec.cache_budget};
-        std::optional<serve::ShardedCluster> cluster;
-        std::optional<ScopedRemove> scratch;
-        if (!snapshot_format.has_value()) {
-          cluster.emplace(*spanner, row.guarantee_mult, row.guarantee_add,
-                          cluster_options);
-        } else {
-          const apps::SpannerDistanceOracle built(
-              *spanner, row.guarantee_mult, row.guarantee_add,
-              apps::OracleOptions{.cache_budget_bytes = 0});
-          scratch.emplace(round_trip(built));
-          util::Timer warmup_timer;
-          cluster.emplace(serve::ShardedCluster::from_snapshot_files(
-              {scratch->path}, cluster_options));
-          row.snapshot_warmup_ms = warmup_timer.millis();
-        }
-        serve::ClusterStats stats;
-        const auto answers =
-            cluster->serve(requests, spec.query_threads, &stats);
-        row.oracle_queries = stats.requests;
-        row.oracle_shards = stats.shards_used;
-        row.oracle_sources = stats.distinct_sources;
-        row.oracle_cache_hits = stats.cache_hits;
-        row.oracle_bfs_passes = stats.bfs_passes;
-        row.oracle_evictions = stats.evictions;
-        row.oracle_digest = apps::digest_answers(answers);
-        row.cluster_shards_used = stats.shards_used;
-        row.cluster_counter_digest = stats.digest();
+        const auto format = apps::parse_snapshot_format(spec.snapshot_format);
+        scratch.emplace(temp_snapshot_path(
+            format == apps::SnapshotFormat::kV2 ? ".naso2" : ".naso"));
+        const apps::SpannerDistanceOracle built(
+            *spanner, row.guarantee_mult, row.guarantee_add,
+            apps::OracleOptions{.cache_budget_bytes = 0});
+        built.save_file(scratch->path, format);
+        row.snapshot_bytes = std::filesystem::file_size(scratch->path);
+        util::Timer warmup_timer;
+        cluster.emplace(serve::ShardedCluster::from_snapshot_files(
+            {scratch->path}, cluster_options));
+        row.snapshot_warmup_ms = warmup_timer.millis();
       }
+      const auto answers =
+          cluster->serve(requests, spec.query_threads, &row.cluster);
+      row.oracle_digest = apps::digest_answers(answers);
       row.served = true;  // only after the stage ran; a throw leaves false
       row.oracle_wall_ms = oracle_timer.millis();
     }

@@ -20,6 +20,7 @@
 
 #include "run/graph_cache.hpp"
 #include "run/scenario.hpp"
+#include "serve/cluster.hpp"
 #include "verify/stretch.hpp"
 
 namespace nas::run {
@@ -46,26 +47,16 @@ struct ResultRow {
   bool verified = false;
   verify::StretchReport report;
 
-  // Oracle serving results (valid iff `served`; spec.workload != "off").
-  // `oracle_digest` is apps::digest_answers over the batch answers — a pure
-  // function of the spec, so sink byte-identity across query-thread counts
-  // and cache budgets covers the served answers too.  When the spec requests
-  // a serving cluster (spec.cluster_shards >= 1) the batch runs through a
-  // serve::ShardedCluster instead of one oracle; the counters below then
-  // hold the cluster-wide totals (summed over shards), the digest covers the
-  // merged answers — equal to the single-oracle digest by the cluster's
-  // byte-identity contract — and `cluster_shards_used` records how many
-  // shards received traffic.
+  // Serving results (valid iff `served`; spec.workload != "off").  The
+  // batch runs through a serve::ShardedCluster of spec.cluster_shards
+  // oracles (one shard is one oracle).  `oracle_digest` is
+  // apps::digest_answers over its answers — a pure function of the spec, so
+  // sink byte-identity across query-thread counts, cache budgets and shard
+  // counts covers the served answers too — and `cluster` holds the batch's
+  // counters, summed over shards and per shard.
   bool served = false;
-  std::uint64_t oracle_queries = 0;
-  std::uint64_t oracle_shards = 0;     ///< BFS shards the batch actually used
-  std::uint64_t oracle_sources = 0;    ///< distinct BFS sources in the batch
-  std::uint64_t oracle_cache_hits = 0;
-  std::uint64_t oracle_bfs_passes = 0;
-  std::uint64_t oracle_evictions = 0;
   std::uint64_t oracle_digest = 0;
-  std::uint64_t cluster_shards_used = 0;  ///< shards with >= 1 routed request
-  std::uint64_t cluster_counter_digest = 0;  ///< ClusterStats::digest()
+  serve::ClusterStats cluster;
   /// Snapshot round-trip results (spec.snapshot_format != "none"): the
   /// on-disk size of the saved snapshot.  Deterministic — v1 is canonical
   /// text, v2 a fixed-layout binary image — so the sinks always emit it.

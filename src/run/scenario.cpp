@@ -50,7 +50,7 @@ std::string ScenarioSpec::id() const {
     out += std::to_string(cache_budget);
     out += "/qt=";
     out += std::to_string(query_threads);
-    if (cluster_shards > 0) {
+    if (cluster_shards > 1) {
       out += "/cs=";
       out += std::to_string(cluster_shards);
       out += "/";
@@ -99,7 +99,7 @@ std::vector<ScenarioSpec> ScenarioMatrix::expand() const {
                       for (const auto threads : pinned(query_threads, off))
                         for (const auto shards : pinned(cluster_shards, off))
                           for (const auto& partition :
-                               pinned(partitions, off || shards == 0))
+                               pinned(partitions, off || shards == 1))
                             for (const auto& snapshot_format :
                                  pinned(snapshot_formats, off)) {
                               ScenarioSpec s;
@@ -244,7 +244,11 @@ void ScenarioMatrix::set(const std::string& key, const std::string& value) {
   } else if (key == "query-threads") {
     query_threads = integers<unsigned>(key, value);
   } else if (key == "cluster-shards") {
-    cluster_shards = integers<unsigned>(key, value);
+    cluster_shards = parse_list<unsigned>(
+        key, value, [](const std::string& k, const std::string& v) {
+          return util::Flags::in_range<unsigned>(
+              k, util::Flags::parse_integer(k, v), 1);
+        });
   } else if (key == "partition") {
     partitions = parse_list<std::string>(
         key, value, [](const std::string&, const std::string& v) {
@@ -296,9 +300,8 @@ void ScenarioMatrix::apply_flags(const util::Flags& flags) {
       {"verify-seed", "1", "sampled verification source seed"},
       {"workload", "off", "oracle serving workloads: off|uniform|zipf (comma list)"},
       {"cache-budget", "67108864", "oracle cache budgets in bytes (comma list)"},
-      {"query-threads", "1", "oracle batch shards, 0 = all cores (comma list)"},
-      {"cluster-shards", "0",
-       "serving-cluster shard counts, 0 = single oracle (comma list)"},
+      {"query-threads", "1", "serving pool slots, 0 = all cores (comma list)"},
+      {"cluster-shards", "1", "serving-cluster shard counts, >= 1 (comma list)"},
       {"partition", "hash", "cluster partitioners: hash|range (comma list)"},
       {"snapshot-format", "none",
        "serving snapshot round-trips: none|v1|v2 (comma list)"},

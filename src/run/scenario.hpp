@@ -59,22 +59,22 @@ struct ScenarioSpec {
   unsigned verify_threads = 1;       ///< verifier shards, 0 = all cores
   std::uint64_t verify_seed = 1;     ///< sampled mode: source-choice seed
 
-  // Distance-oracle serving stage (apps::SpannerDistanceOracle): generate a
-  // query workload against the produced spanner and answer it as one batch.
-  // "off" skips the stage entirely.
+  // Distance-oracle serving stage: generate a query workload against the
+  // produced spanner and answer it as one batch.  "off" skips the stage
+  // entirely.
   std::string workload = "off";           ///< "off" | "uniform" | "zipf"
   std::uint64_t queries = 1000;           ///< requests per batch
   std::uint64_t workload_seed = 1;        ///< request-generator seed
   double zipf_theta = 0.99;               ///< zipf skew exponent
   std::uint64_t cache_budget = 64 << 20;  ///< oracle source-cache bytes
-  unsigned query_threads = 1;             ///< batch shards, 0 = all cores
+  unsigned query_threads = 1;             ///< serve() slots, 0 = all cores
 
-  // Sharded serving-cluster stage (serve::ShardedCluster): 0 serves the
-  // batch through one DistanceOracle (PR 4's path); >= 1 partitions serving
-  // across that many shard oracles, each with its own `cache_budget` cache,
-  // routed by `partition` ("hash" | "range").  Answers are byte-identical
-  // either way — the cluster axes only move the counters.
-  unsigned cluster_shards = 0;
+  // The serving stage runs through a serve::ShardedCluster of
+  // `cluster_shards` (>= 1) shard oracles, each with its own `cache_budget`
+  // cache, routed by `partition` ("hash" | "range"); one shard is one
+  // oracle.  Answers are byte-identical at every shard count and
+  // partitioner — the cluster axes only move the counters.
+  unsigned cluster_shards = 1;
   std::string partition = "hash";
 
   // Snapshot round-trip axis: "none" serves straight from the built spanner;
@@ -86,7 +86,7 @@ struct ScenarioSpec {
   /// Compact deterministic identifier, e.g.
   /// "er/n=512/seed=1/em/eps=0.25/kappa=3/rho=0.4"; serving scenarios append
   /// "/w=<workload>/q=<queries>/cb=<cache_budget>/qt=<query_threads>" (and
-  /// clustered ones "/cs=<cluster_shards>/<partition>", snapshot
+  /// multi-shard ones "/cs=<cluster_shards>/<partition>", snapshot
   /// round-trips "/sf=<snapshot_format>") so every expansion axis is visible
   /// in the id (rows of a serving sweep stay distinguishable in logs and
   /// grouped sink output).
@@ -111,8 +111,8 @@ struct ScenarioMatrix {
   std::vector<std::string> workloads{"off"};
   std::vector<std::uint64_t> cache_budgets{64 << 20};
   std::vector<unsigned> query_threads{1};
-  // Serving-cluster axes: shard counts (0 = single oracle) and partitioners.
-  std::vector<unsigned> cluster_shards{0};
+  // Serving-cluster axes: shard counts (>= 1) and partitioners.
+  std::vector<unsigned> cluster_shards{1};
   std::vector<std::string> partitions{"hash"};
   // Snapshot round-trip axis: none|v1|v2 (see ScenarioSpec::snapshot_format).
   std::vector<std::string> snapshot_formats{"none"};
@@ -134,9 +134,10 @@ struct ScenarioMatrix {
   /// query_threads, cluster_shards, partition, snapshot_format innermost.
   /// Axes that cannot change a row take only their first value, so no two
   /// specs are the same scenario: a workload of "off" pins every serving
-  /// axis (cache_budget through snapshot_format), and cluster_shards 0 pins
-  /// partition.  Deterministic: the i-th spec depends only on the axis
-  /// lists, never on execution.
+  /// axis (cache_budget through snapshot_format), and cluster_shards 1 pins
+  /// partition (every partitioner routes a one-shard batch alike).
+  /// Deterministic: the i-th spec depends only on the axis lists, never on
+  /// execution.
   [[nodiscard]] std::vector<ScenarioSpec> expand() const;
 
   /// Applies one `key = values` assignment (shared by flag and file input).

@@ -37,21 +37,21 @@ util::JsonObject row_fields(const ResultRow& row, const SinkOptions& options) {
        JsonValue::number(row.verified ? row.report.max_additive : 0)},
       {"bound_ok", JsonValue::boolean(!row.verified || row.report.bound_ok)},
       {"workload", JsonValue::str(spec.workload)},
-      {"queries", JsonValue::number(row.served ? row.oracle_queries : 0)},
+      {"queries", JsonValue::number(row.cluster.requests)},
       {"cache_budget", JsonValue::number(spec.cache_budget)},
       {"query_threads",
        JsonValue::number(static_cast<std::uint64_t>(spec.query_threads))},
-      {"oracle_shards", JsonValue::number(row.oracle_shards)},
-      {"oracle_sources", JsonValue::number(row.oracle_sources)},
-      {"oracle_cache_hits", JsonValue::number(row.oracle_cache_hits)},
-      {"oracle_bfs", JsonValue::number(row.oracle_bfs_passes)},
-      {"oracle_evictions", JsonValue::number(row.oracle_evictions)},
+      {"oracle_sources", JsonValue::number(row.cluster.distinct_sources)},
+      {"oracle_cache_hits", JsonValue::number(row.cluster.cache_hits)},
+      {"oracle_bfs", JsonValue::number(row.cluster.bfs_passes)},
+      {"oracle_evictions", JsonValue::number(row.cluster.evictions)},
       {"oracle_digest", JsonValue::hex64(row.oracle_digest)},
       {"cluster_shards",
        JsonValue::number(static_cast<std::uint64_t>(spec.cluster_shards))},
       {"cluster_partition", JsonValue::str(spec.partition)},
-      {"cluster_shards_used", JsonValue::number(row.cluster_shards_used)},
-      {"cluster_counter_digest", JsonValue::hex64(row.cluster_counter_digest)},
+      {"cluster_shards_used", JsonValue::number(row.cluster.shards_used)},
+      {"cluster_counter_digest",
+       JsonValue::hex64(row.served ? row.cluster.digest() : 0)},
       {"snapshot_format", JsonValue::str(spec.snapshot_format)},
       {"snapshot_bytes", JsonValue::number(row.snapshot_bytes)},
       {"ok", JsonValue::boolean(row.ok)},

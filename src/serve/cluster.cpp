@@ -1,5 +1,6 @@
 #include "serve/cluster.hpp"
 
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -114,19 +115,28 @@ std::vector<std::uint32_t> ShardedCluster::serve(
   // Each ThreadPool slot owns a contiguous block of the non-empty shards and
   // touches only those oracles, answer slots, and stats slots, so the
   // results are independent of the slot count.  Empty shards are skipped
-  // (their cache state stays untouched).
+  // (their cache state stays untouched).  When the b busy shards are fewer
+  // than the T resolved slots, each runs on its own slot and hands its
+  // batch_query floor(T/b) slots; answers, caches and counters do not
+  // depend on a batch's thread count either.
   std::vector<std::size_t> busy;
   for (std::size_t s = 0; s < shard_count; ++s) {
     if (!plan.queries[s].empty()) busy.push_back(s);
   }
+  const unsigned slots = util::ThreadPool::resolve(
+      threads, std::numeric_limits<std::size_t>::max());
+  const unsigned shard_threads =
+      busy.empty() || busy.size() >= slots
+          ? 1
+          : slots / static_cast<unsigned>(busy.size());
   std::vector<std::vector<std::uint32_t>> shard_answers(shard_count);
   std::vector<apps::BatchStats> shard_stats(shard_count);
   util::ThreadPool::run_sharded(
-      busy.size(), threads, [&](std::size_t begin, std::size_t end) {
+      busy.size(), slots, [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
           const std::size_t s = busy[i];
-          shard_answers[s] =
-              shards_[s].batch_query(plan.queries[s], 1, &shard_stats[s]);
+          shard_answers[s] = shards_[s].batch_query(
+              plan.queries[s], shard_threads, &shard_stats[s]);
         }
       });
 

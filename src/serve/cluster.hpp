@@ -17,7 +17,7 @@
 // Determinism contract (the repo's signature guarantee, extended to the
 // cluster): the answer vector returned by `serve` is byte-identical
 //   * at every `threads` value (execution units are disjoint shard
-//     oracles),
+//     oracles, and a shard's batch_query is thread-count independent),
 //   * at every shard count and partitioner (each answer is d_H(u,v), which
 //     no oracle's cache state can change), and
 //   * to a single SpannerDistanceOracle::batch_query over the same batch.
@@ -128,11 +128,13 @@ class ShardedCluster {
       const std::vector<std::string>& paths, const ClusterOptions& options = {});
 
   /// Routes `batch` to its shards, runs the non-empty shards' sub-batches
-  /// across `threads` util::ThreadPool slots (0 = hardware concurrency; each
-  /// slot serves a contiguous block of shards, each oracle's batch_query
-  /// runs serially), and merges the answers back into batch order.  See the
-  /// file comment for the byte-identity contract.  `stats`, when non-null,
-  /// receives the deterministic serving counters.
+  /// across `threads` util::ThreadPool slots (0 = hardware concurrency), and
+  /// merges the answers back into batch order.  b busy shards on T >= b
+  /// slots run one per slot, each batch_query on floor(T/b) slots of its
+  /// own (so one shard searches like an oracle on T threads); otherwise
+  /// each slot serves a contiguous block of shards, one batch_query thread
+  /// each.  See the file comment for the byte-identity contract.  `stats`,
+  /// when non-null, receives the deterministic serving counters.
   [[nodiscard]] std::vector<std::uint32_t> serve(
       std::span<const apps::Query> batch, unsigned threads = 1,
       ClusterStats* stats = nullptr);

@@ -123,7 +123,7 @@ TEST(ScenarioMatrix, OracleAxesExpandParseAndTagIds) {
 
 // Axes that cannot change a row expand to their first value only, so a
 // sweep never runs (and prints) one scenario twice: without a workload every
-// serving axis is pinned, and a single-oracle row (cluster-shards 0) pins the
+// serving axis is pinned, and a one-shard row (cluster-shards 1) pins the
 // partitioner.
 TEST(ScenarioMatrix, ExpandSkipsAxesThatCannotChangeTheRow) {
   const auto expect_unique_ids =
@@ -145,16 +145,16 @@ TEST(ScenarioMatrix, ExpandSkipsAxesThatCannotChangeTheRow) {
   ASSERT_EQ(specs.size(), 1u);
   EXPECT_EQ(specs[0].cache_budget, 0u);
 
-  // ... --workload uniform --queries 50 --cluster-shards 0,2 --partition
-  // hash,range: the single oracle has no partitioner, so 1 + 2 rows.
+  // ... --workload uniform --queries 50 --cluster-shards 1,2 --partition
+  // hash,range: every partitioner routes one shard alike, so 1 + 2 rows.
   probe.set("cache-budget", "4096");
   probe.set("workload", "uniform");
   probe.set("queries", "50");
-  probe.set("cluster-shards", "0,2");
+  probe.set("cluster-shards", "1,2");
   probe.set("partition", "hash,range");
   specs = probe.expand();
   ASSERT_EQ(specs.size(), 3u);
-  EXPECT_EQ(specs[0].cluster_shards, 0u);
+  EXPECT_EQ(specs[0].cluster_shards, 1u);
   EXPECT_EQ(specs[0].partition, "hash");
   EXPECT_EQ(specs[1].partition, "hash");
   EXPECT_EQ(specs[2].partition, "range");
@@ -166,7 +166,7 @@ TEST(ScenarioMatrix, ExpandSkipsAxesThatCannotChangeTheRow) {
   m.workloads = {"off", "zipf"};
   m.cache_budgets = {0, 4096};
   m.query_threads = {1, 2};
-  m.cluster_shards = {0, 8};
+  m.cluster_shards = {1, 8};
   m.partitions = {"range", "hash"};
   m.snapshot_formats = {"none", "v2"};
   specs = m.expand();
@@ -174,7 +174,7 @@ TEST(ScenarioMatrix, ExpandSkipsAxesThatCannotChangeTheRow) {
   EXPECT_EQ(specs[0].workload, "off");
   EXPECT_EQ(specs[0].cache_budget, 0u);
   EXPECT_EQ(specs[0].query_threads, 1u);
-  EXPECT_EQ(specs[0].cluster_shards, 0u);
+  EXPECT_EQ(specs[0].cluster_shards, 1u);
   EXPECT_EQ(specs[0].partition, "range");
   EXPECT_EQ(specs[0].snapshot_format, "none");
   expect_unique_ids(specs);
@@ -228,6 +228,15 @@ TEST(ScenarioMatrix, SetRejectsUnknownKeysAndBadValues) {
     EXPECT_STREQ(e.what(),
                  "flag --verify-threads must be in [0, 4294967295], got -1");
   }
+  // A cluster has at least one shard.
+  try {
+    m.set("cluster-shards", "1,0");
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "flag --cluster-shards must be in [1, 4294967295], got 0");
+  }
+  EXPECT_EQ(m.cluster_shards, (std::vector<unsigned>{1}));
 }
 
 TEST(ScenarioMatrix, FromFileParsesKeysCommentsAndReportsLines) {

@@ -546,10 +546,10 @@ TEST(RunnerCluster, ClusterAxisKeepsDigestAndFillsClusterColumns) {
   matrix.set("eps", "0.5");
   matrix.set("workload", "uniform");
   matrix.set("queries", "150");
-  matrix.set("cluster-shards", "0, 1, 2, 8");
+  matrix.set("cluster-shards", "1, 2, 8");
   matrix.set("partition", "hash, range");
   const auto specs = matrix.expand();
-  ASSERT_EQ(specs.size(), 7u);  // the single oracle (0) takes one partition
+  ASSERT_EQ(specs.size(), 5u);  // one shard (1) takes one partition
 
   run::Runner runner;
   const auto rows = runner.run(specs);
@@ -558,12 +558,9 @@ TEST(RunnerCluster, ClusterAxisKeepsDigestAndFillsClusterColumns) {
     ASSERT_TRUE(row.served);
     EXPECT_EQ(row.oracle_digest, rows.front().oracle_digest)
         << row.spec.id();
-    if (row.spec.cluster_shards == 0) {
-      EXPECT_EQ(row.cluster_shards_used, 0u);
-    } else {
-      EXPECT_GE(row.cluster_shards_used, 1u);
-      EXPECT_LE(row.cluster_shards_used, row.spec.cluster_shards);
-    }
+    EXPECT_EQ(row.cluster.requests, 150u);
+    EXPECT_GE(row.cluster.shards_used, 1u);
+    EXPECT_LE(row.cluster.shards_used, row.spec.cluster_shards);
   }
 
   // The cluster axes are visible in the id and the sink schema.

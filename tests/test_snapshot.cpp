@@ -370,14 +370,14 @@ TEST(SnapshotAxis, MatrixExpandsInnermostAndIdsNameTheFormat) {
   run::ScenarioMatrix m;
   m.ns = {256};
   m.workloads = {"uniform"};
-  m.cluster_shards = {0, 2};
+  m.cluster_shards = {1, 2};
   m.snapshot_formats = {"none", "v1", "v2"};
   const auto specs = m.expand();
   ASSERT_EQ(specs.size(), 6u);
   EXPECT_EQ(specs[0].snapshot_format, "none");
   EXPECT_EQ(specs[1].snapshot_format, "v1");
   EXPECT_EQ(specs[2].snapshot_format, "v2");
-  EXPECT_EQ(specs[2].cluster_shards, 0u);
+  EXPECT_EQ(specs[2].cluster_shards, 1u);
   EXPECT_EQ(specs[3].cluster_shards, 2u);
   EXPECT_EQ(specs[0].id().find("/sf="), std::string::npos);
   EXPECT_NE(specs[1].id().find("/sf=v1"), std::string::npos);
@@ -390,7 +390,7 @@ TEST(SnapshotAxis, RunnerAnswersAreFormatIndependent) {
   m.ns = {200};
   m.workloads = {"uniform"};
   m.queries = 300;
-  m.cluster_shards = {0, 2};
+  m.cluster_shards = {1, 2};
   m.snapshot_formats = {"none", "v1", "v2"};
 
   run::Runner runner;

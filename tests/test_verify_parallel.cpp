@@ -1,7 +1,7 @@
 // The verification-pipeline determinism contract: the source-sharded
-// parallel stretch verifier and APSP oracle return bit-identical results to
-// the serial path at every thread count, on six graph families — plus the
-// hardened edge-list reader's error reporting.
+// parallel stretch verifier returns bit-identical results to the serial
+// path at every thread count, on six graph families — plus the hardened
+// edge-list reader's error reporting.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/elkin_matar.hpp"
-#include "graph/apsp.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "verify/stretch.hpp"
@@ -233,21 +232,6 @@ TEST(VerifyParallel, MismatchedSizesThrowAtAnyThreadCount) {
   for (unsigned threads : kThreadCounts) {
     EXPECT_THROW((void)verify::verify_stretch_exact(g, h, 1, 0, threads),
                  std::invalid_argument);
-  }
-}
-
-TEST(ApspParallel, TableIdenticalAcrossThreadCounts) {
-  const Graph g = graph::make_workload("er", 150, 17);
-  const graph::Apsp serial(g);
-  for (unsigned threads : kThreadCounts) {
-    const graph::Apsp parallel(g, 20000, threads);
-    for (graph::Vertex u = 0; u < g.num_vertices(); ++u) {
-      for (graph::Vertex v = 0; v < g.num_vertices(); ++v) {
-        ASSERT_EQ(parallel.dist(u, v), serial.dist(u, v))
-            << "threads=" << threads << " u=" << u << " v=" << v;
-      }
-    }
-    EXPECT_EQ(parallel.max_finite_distance(), serial.max_finite_distance());
   }
 }
 

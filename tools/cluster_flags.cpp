@@ -48,7 +48,8 @@ ClusterFlags::ClusterFlags(const Flags& flags) {
   threads_ = Flags::in_range<unsigned>(
       "threads",
       flags.integer("threads", 1,
-                    "shard-execution pool slots per batch, 0 = all cores"));
+                    "pool slots per batch, split among its busy shards, "
+                    "0 = all cores"));
 }
 
 serve::ShardedCluster ClusterFlags::make_cluster() const {

@@ -1,28 +1,27 @@
 // nas_serve — build or warm a sharded serving cluster and serve batches.
 //
-// The cluster-scale counterpart to nas_oracle: where nas_oracle operates one
-// DistanceOracle, nas_serve partitions serving across N shard oracles behind
-// a deterministic Router (serve::ShardedCluster) — the process shape of a
-// partitioned deployment, driven from one binary so CI can compare it
-// byte-for-byte against the single-oracle baseline.
+// nas_serve partitions serving across N shard oracles behind a
+// deterministic Router (serve::ShardedCluster) — the process shape of a
+// partitioned deployment, driven from one binary so tests and CI can
+// compare its answers byte-for-byte.  One shard (the default) is one
+// oracle: on --threads T its batch searches on T pool slots.
 //
 //   # build from a generated graph, serve a zipfian batch over 8 shards
 //   ./nas_serve --family er --n 2000 --eps 0.25 --shards 8 --partition hash
 //               --workload zipf --queries 20000 --answers out.txt
 //
-//   # warm every shard from a NAS-ORACLE snapshot (one path is shared by
-//   # every shard; a comma list = one snapshot per shard)
+//   # warm every shard from a snapshot written by nas_oracle (one path is
+//   # shared by every shard; a comma list = one snapshot per shard)
 //   ./nas_serve --load oracle.naso --shards 8 --workload zipf --queries 20000
 //
 //   # answer an explicit query file ("u v" lines, '#' comments)
 //   ./nas_serve --load oracle.naso --shards 4 --query-file pairs.txt
 //
-// The answers file has one "u v d" line per request in request order — the
-// same format nas_oracle writes — and is byte-identical at every --shards,
-// --partition, --threads, and --cache-budget value.  CI's serving-cluster
-// gate and the nas_oracle_vs_nas_serve ctest cmp it against the nas_oracle
-// output for the same workload.  The cluster flags (tools/cluster_flags.hpp)
-// are the same as nas_served's.
+// The answers file has one "u v d" line per request in request order (d is
+// "inf" for disconnected pairs) and is byte-identical at every --shards,
+// --partition, --threads, and --cache-budget value, and from a v1 or a v2
+// snapshot; the nas_oracle_vs_* ctests cmp these files.  The cluster flags
+// (tools/cluster_flags.hpp) are the same as nas_served's.
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -105,8 +104,9 @@ int main(int argc, char** argv) {
                 << stats.row_bytes << " row bytes)\n";
     }
     if (!answers_path.empty()) {
-      // Same contract as nas_oracle: the file is created even for an empty
-      // request set, but answers with no request source is a usage error.
+      // The file is created even for an empty request set (a query file of
+      // only comments, --queries 0) so cmp gates compare real output; asking
+      // for answers with no request source at all is a usage error.
       if (query_file.empty() && workload.empty()) {
         throw std::runtime_error(
             "--answers needs requests: pass --query-file or --workload");

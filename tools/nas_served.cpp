@@ -3,7 +3,7 @@
 // Where nas_serve answers one batch and exits, nas_served binds a TCP port
 // and answers the src/net line protocol until stopped:
 //
-//   Q <u> <v>   ->  "<u> <v> <d>"        (one line, nas_oracle byte format)
+//   Q <u> <v>   ->  "<u> <v> <d>"        (one line, nas_serve byte format)
 //   BATCH <n>   +   n "<u> <v>" lines -> n answer lines in request order
 //   STATS       ->  one cluster+server stats JSON line
 //   METRICS     ->  one metrics JSON line (work histograms, metrics digest)
@@ -23,10 +23,10 @@
 // in-flight batches finish and flush (bounded by --drain-timeout-ms), then
 // the process exits 0.  A second signal exits immediately.
 //
-// Answer lines are byte-identical to nas_oracle/nas_serve for the same
-// requests at every --shards/--partition/--threads value — CI's serving gate
-// replays a workload through bench/serve_latency and cmp's the transcript
-// against the nas_oracle answers file, at several shard counts.  The cluster
+// Answer lines are byte-identical to nas_serve's for the same requests at
+// every --shards/--partition/--threads value — CI's serving gate replays a
+// workload through bench/serve_latency and cmp's the transcript against the
+// one-shard nas_serve answers file, at several shard counts.  The cluster
 // flags (tools/cluster_flags.hpp) are the same as nas_serve's.
 #include <atomic>
 #include <csignal>
@@ -153,22 +153,8 @@ int main(int argc, char** argv) {
     if (!stats_path.empty()) {
       util::JsonObject fields =
           serve::cluster_stats_fields(cluster, totals.cluster);
-      fields.emplace_back("connections_accepted",
-                          util::JsonValue::number(totals.connections_accepted));
-      fields.emplace_back("connections_rejected",
-                          util::JsonValue::number(totals.connections_rejected));
-      fields.emplace_back("served_requests",
-                          util::JsonValue::number(totals.requests));
-      fields.emplace_back("served_batches",
-                          util::JsonValue::number(totals.batches));
-      fields.emplace_back("stats_requests",
-                          util::JsonValue::number(totals.stats_requests));
-      fields.emplace_back("metrics_requests",
-                          util::JsonValue::number(totals.metrics_requests));
-      fields.emplace_back("protocol_errors",
-                          util::JsonValue::number(totals.protocol_errors));
-      fields.emplace_back("idle_closed",
-                          util::JsonValue::number(totals.idle_closed));
+      // run() has closed every connection by now.
+      net::append_server_fields(totals, 0, &fields);
       std::ofstream out(stats_path);
       if (!out) {
         throw std::runtime_error("cannot open stats file " + stats_path);
