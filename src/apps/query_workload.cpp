@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
+#include "graph/io.hpp"
 #include "util/rng.hpp"
 
 namespace nas::apps {
@@ -66,27 +67,26 @@ std::vector<Query> make_query_workload(Vertex n, const WorkloadSpec& spec) {
                               spec.dist + "\" (expected uniform|zipf)");
 }
 
+std::vector<Query> read_queries(std::istream& in, const std::string& name) {
+  constexpr std::uint64_t kMaxVertex = std::numeric_limits<Vertex>::max();
+  std::vector<Query> queries;
+  graph::PairScanner scan(in);
+  while (const graph::PairLine* rec = scan.next()) {
+    if (rec->status != graph::PairLine::Status::kOk || rec->a > kMaxVertex ||
+        rec->b > kMaxVertex) {
+      throw std::runtime_error(name + ": malformed query line (expected 'u v')"
+                               " at line " + std::to_string(rec->line));
+    }
+    queries.push_back(
+        {static_cast<Vertex>(rec->a), static_cast<Vertex>(rec->b)});
+  }
+  return queries;
+}
+
 std::vector<Query> read_query_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("cannot open query file " + path);
-  std::vector<Query> queries;
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    if (line.find_first_not_of(" \t\r\v\f") == std::string::npos) continue;
-    std::istringstream ls(line);
-    Query q;
-    std::string trailing;
-    if (!(ls >> q.u >> q.v) || (ls >> trailing)) {
-      throw std::runtime_error(path + ": malformed query line (expected 'u v')"
-                               " at line " + std::to_string(line_no));
-    }
-    queries.push_back(q);
-  }
-  return queries;
+  return read_queries(in, path);
 }
 
 void write_answers(const std::vector<Query>& queries,

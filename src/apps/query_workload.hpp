@@ -45,8 +45,16 @@ struct WorkloadSpec {
 [[nodiscard]] std::vector<Query> make_query_workload(graph::Vertex n,
                                                      const WorkloadSpec& spec);
 
-/// Reads "u v" request lines ('#' comments, blank lines allowed), with the
-/// graph::read_edge_list line-numbered error contract.  Shared by
+/// Reads "u v" request lines ('#' comments, blank lines allowed) on the
+/// scanner behind graph::read_edge_list (graph::PairScanner), so both
+/// accept the same numbers, whitespace and comments.  A line that is not
+/// two unsigned 32-bit decimal numbers (a sign, an overflow, a third token)
+/// throws std::runtime_error "<name>: malformed query line (expected 'u v')
+/// at line N".  Endpoints are not checked against a graph here; the oracle
+/// does that.
+[[nodiscard]] std::vector<Query> read_queries(std::istream& in,
+                                              const std::string& name);
+/// read_queries over the file at `path` (errors name the path).  Shared by
 /// nas_serve and bench/serve_latency so both accept the same files.
 [[nodiscard]] std::vector<Query> read_query_file(const std::string& path);
 

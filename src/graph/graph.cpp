@@ -9,8 +9,10 @@ Graph Graph::from_edges(Vertex n, const std::vector<Edge>& edges) {
   Graph g;
   g.n_ = n;
 
-  std::vector<std::uint64_t> keys;
-  keys.reserve(edges.size());
+  // Counting sort: degrees (duplicates included) into offsets[v + 1], whose
+  // prefix sums make offsets[v] the start of v's list.
+  std::vector<std::size_t>& offsets = g.offsets_;
+  offsets.assign(std::size_t{n} + 1, 0);
   for (const auto& [u, v] : edges) {
     if (u >= n || v >= n) {
       throw std::invalid_argument("Graph::from_edges: endpoint out of range");
@@ -18,38 +20,43 @@ Graph Graph::from_edges(Vertex n, const std::vector<Edge>& edges) {
     if (u == v) {
       throw std::invalid_argument("Graph::from_edges: self-loop rejected");
     }
-    keys.push_back(edge_key(u, v));
+    ++offsets[std::size_t{u} + 1];
+    ++offsets[std::size_t{v} + 1];
   }
-  std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  g.m_ = keys.size();
+  for (std::size_t v = 1; v <= n; ++v) offsets[v] += offsets[v - 1];
 
-  std::vector<std::size_t> deg(n + 1, 0);
-  for (std::uint64_t k : keys) {
-    ++deg[static_cast<Vertex>(k >> 32)];
-    ++deg[static_cast<Vertex>(k & 0xffffffffu)];
+  // Scatter both directions, advancing offsets[v] to the end of v's list.
+  std::vector<Vertex>& adj = g.adj_;
+  adj.resize(offsets[n]);
+  for (const auto& [u, v] : edges) {
+    adj[offsets[u]++] = v;
+    adj[offsets[v]++] = u;
   }
-  g.offsets_.assign(n + 1, 0);
-  for (Vertex v = 0; v < n; ++v) g.offsets_[v + 1] = g.offsets_[v] + deg[v];
-  g.adj_.resize(2 * g.m_);
 
-  std::vector<std::size_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
-  for (std::uint64_t k : keys) {
-    const auto u = static_cast<Vertex>(k >> 32);
-    const auto v = static_cast<Vertex>(k & 0xffffffffu);
-    g.adj_[cursor[u]++] = v;
-    g.adj_[cursor[v]++] = u;
-  }
-  // Keys were processed in sorted order, so each adjacency list is sorted:
-  // for a fixed u, its neighbors v > u appear in increasing order, and its
-  // neighbors v < u also arrive in increasing order of v because keys sort by
-  // (min, max).  The two interleave correctly since all (v, u) with v < u
-  // precede all (u, w) with w > u... which is NOT true in general, so sort
-  // each list explicitly to keep the invariant simple and guaranteed.
+  // Sort and dedupe each list, and compact it down to its final start.
+  std::size_t begin = 0;
+  std::size_t out = 0;
   for (Vertex v = 0; v < n; ++v) {
-    std::sort(g.adj_.begin() + static_cast<std::ptrdiff_t>(g.offsets_[v]),
-              g.adj_.begin() + static_cast<std::ptrdiff_t>(g.offsets_[v + 1]));
+    const std::size_t end = offsets[v];
+    const auto first = adj.begin() + static_cast<std::ptrdiff_t>(begin);
+    const auto last = adj.begin() + static_cast<std::ptrdiff_t>(end);
+    std::sort(first, last);
+    const auto unique_end = std::unique(first, last);
+    offsets[v] = out;
+    if (out != begin) {
+      std::copy(first, unique_end,
+                adj.begin() + static_cast<std::ptrdiff_t>(out));
+    }
+    out += static_cast<std::size_t>(unique_end - first);
+    begin = end;
   }
+  offsets[n] = out;
+  if (out != adj.size()) {
+    adj.resize(out);
+    adj.shrink_to_fit();
+  }
+  // Each distinct edge is left once in each endpoint's list.
+  g.m_ = out / 2;
   return g;
 }
 

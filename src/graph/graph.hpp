@@ -43,8 +43,11 @@ class Graph {
  public:
   Graph() = default;
 
-  /// Builds a graph from an edge list.  Self-loops are rejected
-  /// (std::invalid_argument); parallel edges are deduplicated.
+  /// Builds a graph from an edge list in any order and orientation.
+  /// Self-loops and endpoints >= n are rejected (std::invalid_argument);
+  /// parallel edges are deduplicated.  A counting sort: degrees, prefix
+  /// sums, both directions scattered, then each list sorted, deduplicated
+  /// and compacted, in O(n + m) plus the per-list sorts.
   static Graph from_edges(Vertex n, const std::vector<Edge>& edges);
 
   [[nodiscard]] Vertex num_vertices() const { return n_; }

@@ -2,8 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <vector>
 
 #include "graph/graph.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -43,6 +46,51 @@ TEST(Graph, NeighborsSorted) {
   const auto nb = g.neighbors(2);
   EXPECT_TRUE(std::is_sorted(nb.begin(), nb.end()));
   EXPECT_EQ(nb.size(), 4u);
+}
+
+// from_edges against a reference built from sorted canonical keys, on
+// seeded random multigraphs: duplicates, both orientations, isolated
+// vertices, and a few hub vertices with long lists.
+TEST(Graph, FromEdgesMatchesSortedKeyReference) {
+  nas::util::Xoshiro256 rng(77);
+  for (int trial = 0; trial < 300; ++trial) {
+    const auto n = static_cast<Vertex>(1 + rng.below(80));
+    std::vector<Edge> edges;
+    const std::uint64_t count = n < 2 ? 0 : rng.below(4 * n);
+    for (std::uint64_t i = 0; i < count; ++i) {
+      // Every fourth edge touches a hub, so some lists pass 16 entries.
+      const auto u = static_cast<Vertex>(rng.below(i % 4 == 0 ? 3 : n));
+      auto v = static_cast<Vertex>(rng.below(n));
+      if (u == v) v = (v + 1) % n;
+      edges.emplace_back(u, v);
+      if (rng.below(3) == 0) edges.emplace_back(v, u);  // the other way
+      if (rng.below(5) == 0) edges.emplace_back(u, v);  // a repeat
+    }
+    std::vector<std::uint64_t> keys;
+    for (const auto& [u, v] : edges) keys.push_back(edge_key(u, v));
+    std::sort(keys.begin(), keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+    std::vector<std::vector<Vertex>> lists(n);
+    std::vector<Edge> canonical_edges;
+    for (const std::uint64_t k : keys) {
+      const auto u = static_cast<Vertex>(k >> 32);
+      const auto v = static_cast<Vertex>(k & 0xffffffffu);
+      lists[u].push_back(v);
+      lists[v].push_back(u);
+      canonical_edges.emplace_back(u, v);
+    }
+    const Graph g = Graph::from_edges(n, edges);
+    ASSERT_EQ(g.num_vertices(), n);
+    ASSERT_EQ(g.num_edges(), keys.size()) << "trial " << trial;
+    EXPECT_EQ(g.edges(), canonical_edges) << "trial " << trial;
+    for (Vertex v = 0; v < n; ++v) {
+      std::sort(lists[v].begin(), lists[v].end());
+      const auto nb = g.neighbors(v);
+      ASSERT_TRUE(std::equal(nb.begin(), nb.end(), lists[v].begin(),
+                             lists[v].end()))
+          << "trial " << trial << " vertex " << v;
+    }
+  }
 }
 
 TEST(Graph, EdgesReturnsCanonicalSorted) {

@@ -257,11 +257,19 @@ TEST(NetServer, StatsIsOneJsonObjectLine) {
   ASSERT_TRUE(stats.has_value());
   EXPECT_EQ(stats->front(), '{');
   EXPECT_EQ(stats->back(), '}');
-  for (const char* field :
-       {"\"shards\"", "\"universe\"", "\"requests\"",
-        "\"edges_inspected\"", "\"row_bytes\"", "\"connections_open\"",
-        "\"served_requests\""}) {
-    EXPECT_NE(stats->find(field), std::string::npos) << field;
+  // The STATS schema, which `nas_served --stats-json` shares: the cluster
+  // core (serve::cluster_stats_fields) plus the server's connection
+  // counters.
+  for (const char* key :
+       {"shards", "partition", "universe", "requests", "shards_used",
+        "cache_hits", "bfs_passes", "evictions", "edges_inspected",
+        "row_bytes", "shard_requests", "counter_digest",
+        "connections_accepted", "connections_open", "served_requests",
+        "served_batches", "stats_requests", "metrics_requests",
+        "protocol_errors"}) {
+    EXPECT_NE(stats->find(std::string("\"") + key + "\":"),
+              std::string::npos)
+        << key;
   }
 }
 
@@ -274,11 +282,14 @@ TEST(NetServer, MetricsIsOneJsonObjectLine) {
   ASSERT_TRUE(metrics.has_value());
   EXPECT_EQ(metrics->front(), '{');
   EXPECT_EQ(metrics->back(), '}');
-  for (const char* field :
-       {"\"serve_calls\"", "\"batch_requests_le\"",
-        "\"batch_requests_count\"", "\"metrics_digest\"",
-        "\"serve_latency_ms_le\""}) {
-    EXPECT_NE(metrics->find(field), std::string::npos) << field;
+  for (const char* key :
+       {"shards", "serve_calls", "batch_requests_le", "batch_requests_count",
+        "batch_requests_total", "batch_requests_sum", "metrics_digest",
+        "serve_latency_ms_le", "serve_latency_ms_count",
+        "serve_latency_ms_total", "serve_latency_ms_sum"}) {
+    EXPECT_NE(metrics->find(std::string("\"") + key + "\":"),
+              std::string::npos)
+        << key;
   }
 }
 

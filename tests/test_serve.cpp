@@ -409,22 +409,31 @@ TEST(ShardedCluster, MetricsTrackWorkDeterministically) {
   EXPECT_EQ(run_digest(2), d1);
   EXPECT_EQ(run_digest(8), d1);
 
-  // The rendered METRICS schema carries the digest and both histograms.
+  // The rendered schemas carry their full key sets: METRICS (the digest and
+  // both histograms) and the cluster core of STATS and --stats-json.
   ShardedCluster cluster(result.spanner, mult, add, {.shards = 2});
-  (void)cluster.serve(batch, 1);
-  const auto fields = serve::cluster_metrics_fields(cluster);
-  bool saw_calls = false, saw_batch = false, saw_digest = false,
-       saw_latency = false;
-  for (const auto& [key, value] : fields) {
-    saw_calls |= key == "serve_calls";
-    saw_batch |= key == "batch_requests_le";
-    saw_digest |= key == "metrics_digest";
-    saw_latency |= key == "serve_latency_ms_le";
-  }
-  EXPECT_TRUE(saw_calls);
-  EXPECT_TRUE(saw_batch);
-  EXPECT_TRUE(saw_digest);
-  EXPECT_TRUE(saw_latency);
+  ClusterStats stats;
+  (void)cluster.serve(batch, 1, &stats);
+  const auto keys = [](const util::JsonObject& fields) {
+    std::vector<std::string> out;
+    for (const auto& field : fields) out.push_back(field.first);
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  EXPECT_EQ(keys(serve::cluster_metrics_fields(cluster)),
+            (std::vector<std::string>{
+                "batch_requests_count", "batch_requests_le",
+                "batch_requests_sum", "batch_requests_total",
+                "metrics_digest", "serve_calls", "serve_latency_ms_count",
+                "serve_latency_ms_le", "serve_latency_ms_sum",
+                "serve_latency_ms_total", "shards"}));
+  EXPECT_EQ(keys(serve::cluster_stats_fields(cluster, stats)),
+            (std::vector<std::string>{
+                "bfs_passes", "cache_hits", "counter_digest",
+                "distinct_sources", "edges_inspected", "evictions",
+                "partition", "requests", "row_bytes", "shard_bfs",
+                "shard_cache_capacity", "shard_hits", "shard_requests",
+                "shards", "shards_used", "universe"}));
 }
 
 TEST(ShardedCluster, ZeroBudgetShardsStillAnswerIdentically) {
