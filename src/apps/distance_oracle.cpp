@@ -333,7 +333,8 @@ SpannerDistanceOracle SpannerDistanceOracle::load(std::istream& in,
 
   next_line("magic header");
   if (line != kMagic) {
-    fail("bad magic \"" + line + "\" (expected \"" + kMagic + "\")");
+    fail("bad magic \"" + graph::printable(line) + "\" (expected \"" +
+         kMagic + "\")");
   }
 
   next_line("params line");
@@ -357,7 +358,7 @@ SpannerDistanceOracle SpannerDistanceOracle::load(std::istream& in,
     if (params_line >> trailing) fail("trailing token in params line");
     have_params = true;
   } else {
-    fail("unknown params mode \"" + mode + "\"");
+    fail("unknown params mode \"" + graph::printable(mode) + "\"");
   }
 
   next_line("guarantee line");

@@ -73,10 +73,9 @@
 //     byte-identical regardless of which one an oracle was loaded from.
 //
 // Thread-safety: const methods mutate the cache (and the lazily
-// materialized adjacency-list spanner) under the hood — same contract as
-// the previous implementation; callers must not invoke methods on one
-// oracle concurrently.  The concurrency happens *inside* batch_query, on
-// disjoint scratch buffers.
+// materialized adjacency-list spanner) under the hood, so callers must not
+// invoke methods on one oracle concurrently.  The concurrency happens
+// *inside* batch_query, on disjoint scratch buffers.
 #pragma once
 
 #include <cstdint>

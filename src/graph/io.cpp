@@ -37,9 +37,8 @@ std::string_view cut_comment(std::string_view line) {
   return line.substr(0, line.find('#'));
 }
 
-/// A token as an error message shows it: bytes outside printable ASCII as
-/// \xNN (a NUL would cut what() short of its line number), and at most 64
-/// bytes of it.
+}  // namespace
+
 std::string printable(std::string_view token) {
   constexpr std::size_t kMaxShown = 64;
   constexpr char kHex[] = "0123456789abcdef";
@@ -57,8 +56,6 @@ std::string printable(std::string_view token) {
   if (token.size() > kMaxShown) out += "...";
   return out;
 }
-
-}  // namespace
 
 void write_edge_list(const Graph& g, std::ostream& out) {
   out << g.num_vertices() << ' ' << g.num_edges() << '\n';

@@ -48,6 +48,11 @@ void write_edge_list_file(const Graph& g, const std::string& path);
                                    std::size_t line_offset = 0);
 [[nodiscard]] Graph read_edge_list_file(const std::string& path);
 
+/// A token as an error message shows it: bytes outside printable ASCII as
+/// \xNN (a NUL would cut what() short of its line number), and at most 64
+/// bytes of it.
+[[nodiscard]] std::string printable(std::string_view token);
+
 /// Bytes `PairScanner` reads from its stream at a time.
 inline constexpr std::size_t kScanBlockBytes = std::size_t{1} << 16;
 

@@ -1,9 +1,7 @@
 // Sharded distance-oracle serving cluster.
 //
-// PR 4's serving layer stopped at one DistanceOracle per process — one
-// snapshot, one bounded cache, one batch loop.  Memory per node is exactly
-// the constraint that motivates partitioned deployments, and the
-// linear-size spanner is what makes partitioning viable: every shard can
+// Memory per node is the constraint that motivates partitioned serving, and
+// the linear-size spanner is what makes partitioning viable: every shard can
 // afford the whole structure (O(β·n^{1+1/κ}) edges), so only the *cache* —
 // the 4·n-bytes-per-source part that actually grows with traffic — needs
 // partitioning.  A ShardedCluster is N shard oracles sharing one immutable

@@ -36,9 +36,9 @@ class ThreadPool {
   [[nodiscard]] unsigned size() const { return threads_; }
 
   /// The one thread-count policy shared by every sharded consumer (stretch
-  /// verifier, APSP, oracle batches, cluster shards): 0 requests hardware
-  /// concurrency, and the result is clamped to [1, max(items, 1)] — no
-  /// point in more workers than work items.
+  /// verifier, scenario runner, oracle batches, cluster shards): 0 requests
+  /// hardware concurrency, and the result is clamped to [1, max(items, 1)]
+  /// — no point in more workers than work items.
   [[nodiscard]] static unsigned resolve(unsigned requested, std::size_t items);
 
   /// Runs job(i) for i in [0, count) concurrently and returns when all are

@@ -412,6 +412,10 @@ TEST(OracleSnapshot, MalformedCorpusRejectedWithLineNumbers) {
   expect_load_error("NAS-ORACLE v1\nschedule none\n", "params line");
   expect_load_error("NAS-ORACLE v1\nparams sideways 1 2 3 4\n",
                     "unknown params mode");
+  // A NUL in a quoted header token is escaped, so what() keeps its line.
+  using namespace std::string_literals;
+  expect_load_error("NAS\0ORACLE v1\nparams none\n"s, "line 1");
+  expect_load_error("NAS-ORACLE v1\nparams si\0de 1 2 3 4\n"s, "line 2");
   expect_load_error("NAS-ORACLE v1\nparams practical 0.5 3\n",
                     "malformed params line");
   expect_load_error("NAS-ORACLE v1\nparams none extra\n", "trailing token");
